@@ -11,9 +11,15 @@
 //! - epoch wall time does not scale with the untouched holder set (lenient
 //!   factor bound, best-of-reps, to stay robust on noisy CI hosts).
 //!
+//! It also runs a batch-length axis: 400- and 3,200-transaction transfer
+//! batches over 65,536 holders on the serial shard executor. Every transfer
+//! adds fresh entries to the shard's pending overlay, so the per-transaction
+//! wall of the long batch must stay within 2× of the short one's (best of
+//! 3). An overlay lookup that scans instead of seeking makes it ≈3×.
+//!
 //! Usage: `state_smoke`.
 
-use cosplit_bench::experiments::state_scaling;
+use cosplit_bench::experiments::{batch_scaling, state_scaling};
 
 fn main() {
     // 25× spread keeps the gate fast; the full 100× sweep is `paper state`.
@@ -72,9 +78,39 @@ fn main() {
         failures += 1;
     }
 
+    let batches = batch_scaling(65_536, &[400, 3_200], 3);
+    for b in &batches {
+        println!(
+            "  batch {:>5} txs: committed {}, {:.2} ms, {:.1} us/tx",
+            b.txs,
+            b.committed,
+            b.wall.as_secs_f64() * 1e3,
+            b.us_per_tx()
+        );
+        if b.committed != b.txs {
+            eprintln!("FAIL batch {}: committed only {}", b.txs, b.committed);
+            failures += 1;
+        }
+    }
+    let (short, long) = (&batches[0], &batches[1]);
+    let batch_ratio = long.us_per_tx() / short.us_per_tx().max(1e-9);
+    println!("  per-tx wall, {}-tx / {}-tx batch: {batch_ratio:.2}x", long.txs, short.txs);
+    if batch_ratio > 2.0 {
+        eprintln!(
+            "FAIL: per-transaction cost grows with batch length ({:.1} -> {:.1} us/tx, \
+             {batch_ratio:.2}x > 2x)",
+            short.us_per_tx(),
+            long.us_per_tx()
+        );
+        failures += 1;
+    }
+
     if failures > 0 {
         eprintln!("state-smoke: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("state-smoke: snapshot/fork cost flat across 25x state growth");
+    println!(
+        "state-smoke: snapshot/fork cost flat across 25x state growth, \
+         per-tx cost flat across 8x batch length"
+    );
 }

@@ -772,6 +772,63 @@ pub fn state_scaling(holder_counts: &[u64], txs: usize, reps: u32) -> Vec<StateS
     out
 }
 
+/// One row of the batch-length sweep: a prefix of one shard's transfer
+/// packet, executed as a single serial batch.
+#[derive(Debug, Clone)]
+pub struct BatchScalingRow {
+    /// Transactions in the batch.
+    pub txs: usize,
+    /// Transactions the batch committed.
+    pub committed: usize,
+    /// Best-of-reps wall-clock of the batch.
+    pub wall: Duration,
+}
+
+impl BatchScalingRow {
+    /// Best-of-reps wall-clock per transaction, in microseconds.
+    pub fn us_per_tx(&self) -> f64 {
+        self.wall.as_secs_f64() * 1e6 / self.txs.max(1) as f64
+    }
+}
+
+/// Runs the first `lens[i]` transactions of shard 0's FungibleToken
+/// transfer packet (random transfers between `users` minted holders) as one
+/// batch on the serial shard executor, best of `reps`. Each transfer writes
+/// balance entries the batch has not written yet, so the shard's pending
+/// overlay grows with the batch: per-transaction cost stays flat in batch
+/// length only if point reads and writes over that overlay do.
+pub fn batch_scaling(users: u64, lens: &[usize], reps: u32) -> Vec<BatchScalingRow> {
+    use chain::executor::execute_batch;
+    use workloads::runner::prepare_with;
+    use workloads::scenarios::build;
+
+    let longest = lens.iter().copied().max().unwrap_or(0);
+    // Two shards split the stream about evenly by sender; 2.5× leaves
+    // shard 0 enough for the longest prefix.
+    let scenario = build(Kind::FtTransfer, users, longest * 5 / 2, 13);
+    let config = ChainConfig { parallel_intra_shard: 0, ..ChainConfig::evaluation(2, true) };
+    let net = prepare_with(&scenario, config);
+    let mut pool = scenario.load.clone();
+    let packet = net.form_packets(&mut pool).shard_batches.swap_remove(0);
+    assert!(packet.len() >= longest, "shard 0 packet too short: {}", packet.len());
+    let cfg = net.shard_executor_config(0);
+
+    let mut best: Vec<Option<BatchScalingRow>> = vec![None; lens.len()];
+    // Lengths alternate within each rep, so host speed drift hits them alike.
+    for _ in 0..reps.max(1) {
+        for (slot, &len) in best.iter_mut().zip(lens) {
+            let batch = packet[..len].to_vec();
+            let t0 = Instant::now();
+            let mb = execute_batch(&cfg, net.state(), batch);
+            let wall = t0.elapsed();
+            if slot.as_ref().is_none_or(|b| wall < b.wall) {
+                *slot = Some(BatchScalingRow { txs: len, committed: mb.committed(), wall });
+            }
+        }
+    }
+    best.into_iter().map(|r| r.expect("at least one rep")).collect()
+}
+
 // ------------------------------------------------------ lifecycle tracing
 
 /// One DS-residency bucket of the trace experiment: a workload/transition

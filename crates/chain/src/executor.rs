@@ -336,9 +336,10 @@ struct ShardStorage {
     state: CowState,
     touched: BTreeSet<Component>,
     /// Each touched component's value when this executor first wrote it
-    /// (recorded at journal commit). A layer worker starts from a clone of
-    /// the scheduler's working state, so its priors are the layer-start
-    /// values its delta is computed against.
+    /// (recorded at journal commit, on forked pool workers only — their
+    /// yields are the sole reader). A worker starts from a clone of the
+    /// scheduler's working state, so its priors are the values its yield
+    /// delta is computed against.
     priors: BTreeMap<Component, Option<Value>>,
 }
 
@@ -390,7 +391,8 @@ struct Executor<'a> {
     /// for every sender that committed a nonce this wave, in commit order,
     /// so the wave yield reports nonces in O(wave) instead of O(accounts).
     yield_nonce_marks: Vec<(Address, usize)>,
-    /// Set on forked pool workers; gates `yield_nonce_marks` tracking.
+    /// Set on forked pool workers; gates `yield_nonce_marks` and
+    /// `ShardStorage::priors` tracking.
     track_yield_marks: bool,
     /// Worker label for the per-transaction trace span, set by the parallel
     /// scheduler on its pool workers; `None` on the serial path and the
@@ -619,7 +621,7 @@ impl<'a> Executor<'a> {
                         self.balance.undo(ledger_cp);
                         return (TxStatus::Rerouted(RerouteCause::OverflowGuard), 0, Vec::new());
                     }
-                journal.commit(&mut self.storages);
+                journal.commit(&mut self.storages, self.track_yield_marks);
                 (TxStatus::Success, gas_total, events)
             }
             Err(CallError::CrossContract) => {
@@ -1441,13 +1443,18 @@ struct TxJournal {
 }
 
 impl TxJournal {
-    fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>) {
+    /// Folds a committed transaction's writes into the storages. Priors are
+    /// recorded only when `track_priors` is set (forked pool workers, whose
+    /// `take_yield` reads them); serial batches skip the per-write insert.
+    fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>, track_priors: bool) {
         // The first undo entry per component carries the value it had before
         // this executor ever wrote it — a layer worker turns those into its
         // against-layer-start delta.
-        for (addr, comp, prior) in self.undo {
-            if let Some(s) = storages.get_mut(&addr) {
-                s.priors.entry(comp).or_insert(prior);
+        if track_priors {
+            for (addr, comp, prior) in self.undo {
+                if let Some(s) = storages.get_mut(&addr) {
+                    s.priors.entry(comp).or_insert(prior);
+                }
             }
         }
         for (addr, comp) in self.touched {

@@ -19,6 +19,7 @@
 use crate::intern::{intern, Sym};
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 use telemetry::names;
 
@@ -194,7 +195,14 @@ impl StateStore for InMemoryState {
     }
 
     fn store(&mut self, field: &str, value: Value) {
-        self.fields.insert(field.to_string(), value);
+        // Allocate the field name only for a new field: delta application
+        // writes existing fields once per merged component.
+        match self.fields.get_mut(field) {
+            Some(slot) => *slot = value,
+            None => {
+                self.fields.insert(field.to_string(), value);
+            }
+        }
     }
 
     fn map_get(&self, field: &str, keys: &[Value]) -> Option<Value> {
@@ -202,8 +210,13 @@ impl StateStore for InMemoryState {
     }
 
     fn map_update(&mut self, field: &str, keys: &[Value], value: Value) {
-        let root = self.fields.entry(field.to_string()).or_insert_with(Value::empty_map);
-        insert_at(root, keys, value);
+        if let Some(root) = self.fields.get_mut(field) {
+            insert_at(root, keys, value);
+            return;
+        }
+        let mut root = Value::empty_map();
+        insert_at(&mut root, keys, value);
+        self.fields.insert(field.to_string(), root);
     }
 
     fn map_exists(&self, field: &str, keys: &[Value]) -> bool {
@@ -243,9 +256,15 @@ enum FieldOverlay {
 ///
 /// Cost model: [`CowState::new`] is O(1); [`CowState::fork`] is O(pending
 /// writes); [`CowState::snapshot`] of an untouched store is O(1). Point
-/// reads and writes never materialise base maps — only a whole-map `load`
-/// over a field with entry-level pending writes pays O(field) to merge, the
-/// same a deep-cloning store would have paid on every read.
+/// reads, writes, existence checks and deletes cost O(log overlay + entries
+/// at or below the path), never O(overlay): no recorded path is a prefix of
+/// another, and paths order lexicographically, so the entries below a path
+/// form one contiguous run that starts right after it — an ordered range
+/// seek finds them. A batch that writes `n` fresh entries therefore costs
+/// O(n log n), linear in its writes up to the log. Point operations never
+/// materialise base maps — only a whole-map `load` over a field with
+/// entry-level pending writes pays O(field) to merge, the same a
+/// deep-cloning store would have paid on every read.
 #[derive(Debug, Clone, Default)]
 pub struct CowState {
     base: Arc<InMemoryState>,
@@ -357,15 +376,26 @@ impl CowState {
         (1..=keys.len()).find(|&l| entries.contains_key(&keys[..l]))
     }
 
-    /// Entries strictly below `keys` (their paths extend it).
-    fn below<'e>(
+    /// Entries at or below `keys` (their paths equal or extend it), in
+    /// order. O(log overlay + matches): paths compare lexicographically, so
+    /// every extension of `keys` sorts after `keys` and before the first
+    /// path that differs from it within `keys.len()` elements — one
+    /// contiguous run starting at `keys`.
+    fn at_or_below<'e, 'k>(
         entries: &'e BTreeMap<Vec<Value>, Option<Value>>,
-        keys: &[Value],
-    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> {
-        let keys = keys.to_vec();
+        keys: &'k [Value],
+    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> + use<'e, 'k> {
         entries
-            .iter()
-            .filter(move |(p, _)| p.len() > keys.len() && p[..keys.len()] == keys[..])
+            .range::<[Value], _>((Bound::Included(keys), Bound::Unbounded))
+            .take_while(move |(p, _)| p.starts_with(keys))
+    }
+
+    /// Entries strictly below `keys` (their paths extend it).
+    fn below<'e, 'k>(
+        entries: &'e BTreeMap<Vec<Value>, Option<Value>>,
+        keys: &'k [Value],
+    ) -> impl Iterator<Item = (&'e Vec<Value>, &'e Option<Value>)> + use<'e, 'k> {
+        Self::at_or_below(entries, keys).filter(move |(p, _)| p.len() > keys.len())
     }
 
     /// Would a tombstone at `keys` lose materialisation a plain store keeps?
@@ -384,16 +414,15 @@ impl CowState {
         entries: &BTreeMap<Vec<Value>, Option<Value>>,
         keys: &[Value],
     ) -> bool {
-        let at_or_below = |q: &[Value]| q.len() >= keys.len() && q[..keys.len()] == *keys;
-        if !entries.iter().any(|(q, s)| s.is_some() && at_or_below(q)) {
+        if !Self::at_or_below(entries, keys).any(|(_, s)| s.is_some()) {
             // Only tombstones vanish; they never materialised anything.
             return false;
         }
         let base_field = self.base.fields.get(field);
+        // A `Some` entry strictly below `keys[..j]` that the delete keeps:
+        // one ordered run, minus the doomed run at `keys` nested inside it.
         let surviving_some = |j: usize| {
-            entries
-                .iter()
-                .any(|(q, s)| s.is_some() && q.len() > j && q[..j] == keys[..j] && !at_or_below(q))
+            Self::below(entries, &keys[..j]).any(|(q, s)| s.is_some() && !q.starts_with(keys))
         };
         // The field root: a non-map base value was destroyed by the first
         // map write (insert_at's recovery) and must stay destroyed.
@@ -492,10 +521,7 @@ impl StateStore for CowState {
                 // `insert_at`'s intermediate-map materialisation).
                 let mut root = match base_sub {
                     Some(v) => v,
-                    None if entries.iter().any(|(p, s)| {
-                        s.is_some() && p.len() > keys.len() && p[..keys.len()] == *keys
-                    }) =>
-                    {
+                    None if Self::below(entries, keys).any(|(_, s)| s.is_some()) => {
                         Value::empty_map()
                     }
                     None => return None,
@@ -813,5 +839,65 @@ mod tests {
             panic!("expected submap")
         };
         assert_eq!(sub.len(), 1);
+    }
+
+    #[test]
+    fn cow_prefix_lookups_stop_at_the_next_sibling() {
+        // Point lookups at `[k]` read the ordered run of overlay paths that
+        // start with `k`. Overlay: `[j,1]`, `[k,3,4]`, `[k,9]`, `[k']` with
+        // j < k < k' adjacent. `[k,9]` sorts before `[k']` although 9 > k':
+        // paths order element by element, so the run must end at `[k']`,
+        // not at the first larger key value. `[k]` itself cannot coexist
+        // with entries below it (the no-prefix invariant), so the write at
+        // `[k]` is checked as the update that evicts them.
+        let n = |v: u128| Value::Uint(32, v);
+        let (k, k2) = ([n(2)], [n(3)]);
+        let (j_1, k_3_4, k_9) = ([n(1), n(1)], [n(2), n(3), n(4)], [n(2), n(9)]);
+        let mut base = InMemoryState::new();
+        base.map_update("m", &[n(3), n(0)], n(50));
+        let base = Arc::new(base);
+        let mut cow = CowState::new(Arc::clone(&base));
+        let mut plain = (*base).clone();
+        for s in [&mut cow as &mut dyn StateStore, &mut plain as &mut dyn StateStore] {
+            s.map_update("m", &j_1, n(10));
+            s.map_update("m", &k_3_4, n(20));
+            s.map_update("m", &k_9, n(30));
+            s.map_update("m", &k2, n(40));
+        }
+        let paths = |c: &CowState| c.write_set().into_iter().map(|(_, p)| p).collect::<Vec<_>>();
+        assert_eq!(paths(&cow), vec![j_1.to_vec(), k_3_4.to_vec(), k_9.to_vec(), k2.to_vec()]);
+
+        // Sub-map read: exactly the two `[k,…]` entries, nothing of `[k']`.
+        let mut want = Value::empty_map();
+        insert_at(&mut want, &[n(3), n(4)], n(20));
+        insert_at(&mut want, &[n(9)], n(30));
+        assert_eq!(cow.map_get("m", &k), Some(want));
+        assert_eq!(cow.map_get("m", &k), plain.map_get("m", &k));
+
+        // Exists: the base lacks `k`, so only the run below it answers.
+        assert!(!base.map_exists("m", &k));
+        assert!(cow.map_exists("m", &k));
+        assert!(cow.map_exists("m", &[n(2), n(3)]));
+        assert!(!cow.map_exists("m", &[n(2), n(0)]));
+        assert!(!cow.map_exists("m", &[n(4)]));
+
+        // Delete at `[k]`: the `[k,…]` run becomes one tombstone; `[j,1]`
+        // and `[k']` survive untouched.
+        let (mut del, mut plain_del) = (cow.fork(), plain.clone());
+        del.map_delete("m", &k);
+        plain_del.map_delete("m", &k);
+        assert_eq!(paths(&del), vec![j_1.to_vec(), k.to_vec(), k2.to_vec()]);
+        assert_eq!(del.map_get("m", &k), None);
+        assert_eq!(del.map_get("m", &k2), Some(n(40)));
+        assert_eq!(*del.snapshot(), plain_del);
+
+        // Write at `[k]`: evicts the same run and nothing else.
+        let (mut upd, mut plain_upd) = (cow.fork(), plain.clone());
+        upd.map_update("m", &k, n(60));
+        plain_upd.map_update("m", &k, n(60));
+        assert_eq!(paths(&upd), vec![j_1.to_vec(), k.to_vec(), k2.to_vec()]);
+        assert_eq!(upd.map_get("m", &k2), Some(n(40)));
+        assert_eq!(*upd.snapshot(), plain_upd);
+        assert_eq!(*cow.snapshot(), plain);
     }
 }

@@ -41,12 +41,27 @@ enum Undo {
 }
 
 fn field_name(f: u8) -> &'static str {
-    ["balances", "allowances", "owner", "total_supply"][f as usize % 4]
+    // The two map fields take three draws in four.
+    const FIELDS: [&str; 8] = [
+        "balances",
+        "balances",
+        "balances",
+        "allowances",
+        "allowances",
+        "allowances",
+        "owner",
+        "total_supply",
+    ];
+    FIELDS[f as usize % FIELDS.len()]
 }
 
+/// Size of the key universe. Large enough that one field's overlay holds
+/// dozens of entries, small enough that paths keep colliding with each other
+/// and with the base.
+const KEYS: u8 = 40;
+
 fn key(k: u8) -> Value {
-    // A tiny key universe maximises collisions between overlay and base.
-    Value::Uint(32, (k % 5) as u128)
+    Value::Uint(32, (k % KEYS) as u128)
 }
 
 fn keys(ks: &[u8]) -> Vec<Value> {
@@ -57,31 +72,47 @@ fn val(v: u8) -> Value {
     Value::Uint(128, v as u128)
 }
 
+/// A key path of depth 1 (60%), 2 (30%) or 3 (10%): the head ranges over
+/// the whole key universe, deeper keys over its first four. So sibling heads
+/// interleave in the overlay, while entries under one head share prefixes or
+/// extend one another. Deep paths are the rarer kind because undoing a fresh
+/// one flattens its field into a whole-field overlay, which would keep the
+/// entry overlays small.
 fn path() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 1..4)
+    (any::<u8>(), 0u8..10, 0u8..4, 0u8..4).prop_map(|(head, depth, a, b)| match depth {
+        0..=5 => vec![head],
+        6..=8 => vec![head, a],
+        _ => vec![head, a, b],
+    })
 }
 
+/// Map-entry ops dominate (in percent: writes 44, deletes 12, loads 2,
+/// gets 13, exists-checks 13) and checkpoints come three to a rollback, so
+/// overlays grow to dozens of entries before a whole-field write or a
+/// rollback resets them.
 fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>(), any::<u8>()).prop_map(|(f, v)| Op::Store(f, v)),
-        any::<u8>().prop_map(Op::RemoveField),
-        (any::<u8>(), path(), any::<u8>()).prop_map(|(f, p, v)| Op::MapUpdate(f, p, v)),
-        (any::<u8>(), path()).prop_map(|(f, p)| Op::MapDelete(f, p)),
-        any::<u8>().prop_map(Op::Load),
-        (any::<u8>(), path()).prop_map(|(f, p)| Op::MapGet(f, p)),
-        (any::<u8>(), path()).prop_map(|(f, p)| Op::MapExists(f, p)),
-        Just(Op::Checkpoint),
-        Just(Op::Rollback),
-        Just(Op::Fork),
-    ]
+    (0u8..100, any::<u8>(), path(), any::<u8>()).prop_map(|(pick, f, p, v)| match pick {
+        0 => Op::Store(f, v),
+        1 => Op::RemoveField(f),
+        2..=45 => Op::MapUpdate(f, p, v),
+        46..=57 => Op::MapDelete(f, p),
+        58..=59 => Op::Load(f),
+        60..=72 => Op::MapGet(f, p),
+        73..=85 => Op::MapExists(f, p),
+        86..=94 => Op::Checkpoint,
+        95..=97 => Op::Rollback,
+        _ => Op::Fork,
+    })
 }
 
 /// A populated base shared by both stores: nested maps plus scalars.
 fn seeded_base() -> Arc<InMemoryState> {
     let mut s = InMemoryState::new();
-    for k in 0..5u8 {
+    // Every other key, so overlay writes land both on and between base
+    // entries.
+    for k in (0..KEYS).step_by(2) {
         s.map_update("balances", &[key(k)], val(k));
-        s.map_update("allowances", &[key(k), key(k.wrapping_add(1))], val(100 + k));
+        s.map_update("allowances", &[key(k), key(k % 4)], val(100 + k));
     }
     s.store("owner", Value::Str("genesis".into()));
     s.store("total_supply", val(255));
@@ -118,7 +149,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn cow_state_matches_plain_store(ops in prop::collection::vec(op(), 1..60)) {
+    fn cow_state_matches_plain_store(ops in prop::collection::vec(op(), 1..200)) {
         let base = seeded_base();
         let mut cow = CowState::new(Arc::clone(&base));
         let mut plain = (*base).clone();

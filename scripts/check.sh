@@ -25,7 +25,7 @@ cargo run --release -q -p cosplit-bench --bin audit_smoke
 echo "== matrix smoke (corpus-wide conflict-matrix derivation + pair verdicts) =="
 cargo run --release -q -p cosplit-bench --bin matrix_smoke
 
-echo "== state smoke (CoW snapshot/fork cost stays flat as state grows) =="
+echo "== state smoke (CoW snapshot/fork cost flat as state grows, per-tx cost flat in batch length) =="
 cargo run --release -q -p cosplit-bench --bin state_smoke
 
 echo "== trace smoke (exports parse, lifecycle coverage 100%, overhead < 1.5x) =="
