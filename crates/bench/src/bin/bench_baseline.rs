@@ -19,13 +19,12 @@ const REPS: u32 = 5;
 
 fn print_measurement(tag: &str, m: &BaselineMeasurement) {
     println!(
-        "  {tag}: serial {:.0} tx/s, epoch {:.2} ms, DS share {}‰, trace overhead {:.2}x, \
-         wall speedup {:.2}x @4w ({} core(s))",
+        "  {tag}: serial {:.0} tx/s, epoch {:.2} ms, DS share {}‰, trace overhead {:.2}x \
+         ({} core(s))",
         m.serial_tps,
         m.epoch_wall.as_secs_f64() * 1e3,
         m.to_ds_permille,
         m.trace_overhead,
-        m.speedup_wall,
         m.host_cores
     );
     let reasons: Vec<String> =

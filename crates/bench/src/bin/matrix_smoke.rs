@@ -4,13 +4,13 @@
 //!
 //! 1. **Corpus sweep** — derives the pairwise commutativity matrix for every
 //!    contract in the 49-contract mainnet sample without panicking, and
-//!    asserts the matrix round-trips through its JSON wire form (the
-//!    executor consumes the wire form, so a lossy encode would silently
-//!    change scheduling).
+//!    asserts the matrix round-trips through its JSON wire form (the form
+//!    `cosplit matrix --json` publishes, so a lossy encode would silently
+//!    change the published verdicts).
 //! 2. **FungibleToken `Transfer`/`Transfer`** — must *not* be a static
 //!    conflict, and two transfers touching four distinct accounts must
-//!    commute concretely: this is the pair the intra-shard parallel
-//!    speedup lives on.
+//!    commute concretely — the pair the audit-mode conflict cross-check
+//!    verifies against the matrix `cosplit matrix` publishes.
 //! 3. **FungibleToken `Transfer`/`TransferFrom` on a shared owner** — a
 //!    transfer out of Alice's balance and a delegated transfer whose `from`
 //!    is Alice must conflict concretely (both debit `balances[alice]` behind

@@ -6,8 +6,8 @@
 //!
 //! - `chain.state.cow_breaks` / `chain.state.bytes_cloned` stay zero — the
 //!   epoch pipeline never deep-copies a shared map node;
-//! - fork counts are identical across state sizes (forks are per-layer,
-//!   not per-entry);
+//! - fork counts are identical across state sizes (a fork is never
+//!   per-entry);
 //! - epoch wall time does not scale with the untouched holder set (lenient
 //!   factor bound, best-of-reps, to stay robust on noisy CI hosts).
 //!

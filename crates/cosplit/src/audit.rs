@@ -68,7 +68,8 @@ pub enum ViolationKind {
     UnsatOnShard,
     /// A pair of invocations whose concrete footprints interfere, yet the
     /// static conflict matrix judged them commuting under the pair's
-    /// bindings — the parallel scheduler would have run them in one layer.
+    /// bindings — a `Commute` verdict that `cosplit matrix` publishes is
+    /// wrong for a real execution.
     ConflictMissed,
     /// A traced multi-contract invocation chain reached a (contract,
     /// transition) frame outside its composed interprocedural summary

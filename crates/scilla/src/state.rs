@@ -251,7 +251,7 @@ enum FieldOverlay {
 ///
 /// This is how an executor obtains a private, mutable view of a contract's
 /// storage without copying it. The base is the epoch-start snapshot, shared
-/// by every shard and every parallel worker; all writes land in the overlay.
+/// by every shard and the DS committee; all writes land in the overlay.
 /// Reads consult the overlay first and fall back to the base.
 ///
 /// Cost model: [`CowState::new`] is O(1); [`CowState::fork`] is O(pending

@@ -40,7 +40,7 @@ cargo run --release -q -p cosplit-bench --bin callgraph_smoke
 echo "== precision smoke (no global ⊤, blame sweep, refined dispatch gate) =="
 cargo run --release -q -p cosplit-bench --bin precision_smoke
 
-echo "== hotpath smoke (compiled dispatch wins, work-stealing identical + claims, 0 hot clones) =="
+echo "== hotpath smoke (compiled dispatch wins, 0 hot clones over a committing serial batch) =="
 cargo run --release -q -p cosplit-bench --bin hotpath_smoke
 
 # Perf-regression gate against the committed BENCH_baseline.json: fails on
