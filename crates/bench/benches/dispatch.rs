@@ -3,19 +3,21 @@
 
 use chain::delta::StateDelta;
 use chain::dispatch::dispatch;
+use chain::network::ChainConfig;
 use cosplit_bench::experiments::{dispatch_fixture, dispatch_via_wire, epoch_deltas};
 use criterion::{criterion_group, criterion_main, env_or, Criterion};
 
 fn bench_dispatch(c: &mut Criterion) {
     let (state_sig, load, state_plain) =
         dispatch_fixture(env_or("BENCH_USERS", 60), env_or("BENCH_TXS", 512) as usize);
+    let config = ChainConfig::evaluation(3, true);
 
     c.bench_function("dispatch/baseline", |b| {
         let mut i = 0;
         b.iter(|| {
             let tx = &load[i % load.len()];
             i += 1;
-            dispatch(tx, &state_plain, 3, true)
+            dispatch(tx, &state_plain, &config)
         })
     });
 
@@ -24,7 +26,7 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let tx = &load[i % load.len()];
             i += 1;
-            dispatch(tx, &state_sig, 3, true)
+            dispatch(tx, &state_sig, &config)
         })
     });
 
@@ -33,7 +35,7 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let tx = &load[i % load.len()];
             i += 1;
-            dispatch_via_wire(tx, &state_sig, 3)
+            dispatch_via_wire(tx, &state_sig, &config)
         })
     });
 }

@@ -230,7 +230,7 @@ pub fn dispatch_fixture(users: u64, txs: usize) -> (GlobalState, Vec<Transaction
 
 /// Dispatches through the JSON wire boundary: the signature travels to the
 /// lookup node serialised, as in the paper's CoSplit↔Zilliqa integration.
-pub fn dispatch_via_wire(tx: &Transaction, state: &GlobalState, num_shards: u32) -> Decision {
+pub fn dispatch_via_wire(tx: &Transaction, state: &GlobalState, config: &ChainConfig) -> Decision {
     if let chain::tx::TxKind::Call { contract, .. } = &tx.kind {
         if let Some(deployed) = state.contracts.get(contract) {
             if let Some(sig) = &deployed.signature {
@@ -241,22 +241,23 @@ pub fn dispatch_via_wire(tx: &Transaction, state: &GlobalState, num_shards: u32)
             }
         }
     }
-    dispatch(tx, state, num_shards, true)
+    dispatch(tx, state, config)
 }
 
 /// Measures the §5.2.2 overheads over a transfer workload.
 pub fn measure_overheads(users: u64, txs: usize) -> Overheads {
     let (state_sig, load, state_plain) = dispatch_fixture(users, txs);
+    let config = ChainConfig::evaluation(3, true);
 
     let t0 = Instant::now();
     for tx in &load {
-        std::hint::black_box(dispatch(tx, &state_plain, 3, true));
+        std::hint::black_box(dispatch(tx, &state_plain, &config));
     }
     let dispatch_baseline = t0.elapsed() / load.len() as u32;
 
     let t0 = Instant::now();
     for tx in &load {
-        std::hint::black_box(dispatch_via_wire(tx, &state_sig, 3));
+        std::hint::black_box(dispatch_via_wire(tx, &state_sig, &config));
     }
     let dispatch_cosplit = t0.elapsed() / load.len() as u32;
 
@@ -288,11 +289,12 @@ pub fn measure_overheads(users: u64, txs: usize) -> Overheads {
 /// deltas (without applying them).
 pub fn epoch_deltas(state: &GlobalState, load: &[Transaction]) -> Vec<StateDelta> {
     use chain::dispatch::Assignment;
-    use chain::executor::{execute_batch, ExecutorConfig};
+    use chain::executor::execute_batch;
     let num_shards = 3;
+    let config = ChainConfig::evaluation(num_shards, true);
     let mut batches: Vec<Vec<Transaction>> = (0..num_shards).map(|_| Vec::new()).collect();
     for tx in load {
-        if let Assignment::Shard(s) = dispatch(tx, state, num_shards, true).assignment {
+        if let Assignment::Shard(s) = dispatch(tx, state, &config).assignment {
             batches[s as usize].push(tx.clone());
         }
     }
@@ -300,18 +302,7 @@ pub fn epoch_deltas(state: &GlobalState, load: &[Transaction]) -> Vec<StateDelta
         .into_iter()
         .enumerate()
         .map(|(s, batch)| {
-            let cfg = ExecutorConfig {
-                role: Assignment::Shard(s as u32),
-                num_shards,
-                gas_limit: u64::MAX,
-                block_number: 10,
-                use_cosplit: true,
-                overflow_guard: false,
-                allow_contract_msgs: false,
-                audit: false,
-                compose_calls: false,
-            };
-            execute_batch(&cfg, state, batch).delta
+            execute_batch(&unlimited_shard_config(s as u32, num_shards), state, batch).delta
         })
         .collect()
 }
@@ -361,7 +352,7 @@ pub fn strategies(users: u64, txs: usize) -> Vec<StrategyRow> {
                 ds: 0,
             };
             for tx in &scenario.load {
-                let d = dispatch(tx, net.state(), 3, true);
+                let d = dispatch(tx, net.state(), &ChainConfig::evaluation(3, true));
                 if d.assignment == Assignment::Ds {
                     row.ds += 1;
                     continue;
@@ -972,7 +963,7 @@ pub fn measure_baseline(reps: u32) -> BaselineMeasurement {
     // executor, gas-unlimited so the batch size is the denominator.
     let serial_tps = {
         let (net, batch) = ft_shard_batch(60, 1_500);
-        let cfg = unlimited_shard_config();
+        let cfg = unlimited_shard_config(0, 1);
         let mut best = Duration::MAX;
         let mut committed = 0;
         for _ in 0..reps.max(1) {
@@ -1015,7 +1006,7 @@ pub fn measure_baseline(reps: u32) -> BaselineMeasurement {
             let scenario = build(kind, 40, 500, 13);
             let net = prepare(&scenario, 3, true);
             for tx in &scenario.load {
-                let d = dispatch(tx, net.state(), 3, true);
+                let d = dispatch(tx, net.state(), &ChainConfig::evaluation(3, true));
                 *reasons.entry(d.reason.name().to_string()).or_insert(0) += 1;
                 if d.assignment == Assignment::Ds {
                     ds += 1;
@@ -1049,25 +1040,23 @@ fn ft_shard_batch(users: u64, txs: usize) -> (chain::network::Network, Vec<Trans
     let batch = scenario
         .load
         .iter()
-        .filter(|tx| dispatch(tx, net.state(), 1, true).assignment == Assignment::Shard(0))
+        .filter(|tx| dispatch(tx, net.state(), net.config()).assignment == Assignment::Shard(0))
         .cloned()
         .collect();
     (net, batch)
 }
 
-/// The serial shard-0 executor configuration of a one-shard network with an
-/// unlimited gas budget, so a whole batch runs without deferrals.
-fn unlimited_shard_config() -> chain::executor::ExecutorConfig {
+/// The serial executor configuration of `shard` in an evaluation network
+/// of `num_shards` with an unlimited gas budget, so a whole batch runs
+/// without deferrals.
+fn unlimited_shard_config(shard: u32, num_shards: u32) -> chain::executor::ExecutorConfig {
     chain::executor::ExecutorConfig {
-        role: chain::dispatch::Assignment::Shard(0),
-        num_shards: 1,
-        gas_limit: u64::MAX,
+        role: chain::dispatch::Assignment::Shard(shard),
         block_number: 10,
-        use_cosplit: true,
-        overflow_guard: false,
-        allow_contract_msgs: false,
-        audit: false,
-        compose_calls: false,
+        chain: ChainConfig {
+            shard_gas_limit: u64::MAX,
+            ..ChainConfig::evaluation(num_shards, true)
+        },
     }
 }
 
@@ -1420,51 +1409,30 @@ pub struct PrecisionRow {
 
 /// Runs the airdrop workload (whose `ClaimAirdrop` is exactly on the
 /// precision frontier: ⊤ under legacy, summarisable under refined) plus a
-/// Fig. 14 control with each analysis mode as the process default, and
+/// Fig. 14 control on a network deploying under each analysis mode, and
 /// measures where dispatch sends the load. Records the per-workload DS
 /// shares as `chain.dispatch.to_ds_permille.{legacy,refined}.{slug}`
 /// gauges.
-///
-/// Flips the process-wide default analysis mode around each run and
-/// restores [`AnalysisMode::Refined`] afterwards — callers must not race
-/// concurrent deployments against this.
 pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow> {
-    use cosplit_analysis::analysis::{set_default_mode, AnalysisMode};
-    use workloads::runner::run_with;
+    use cosplit_analysis::analysis::AnalysisMode;
     use workloads::scenarios::build;
 
     telemetry::set_enabled(true);
     let reg = telemetry::registry();
     let kinds = [Kind::FtAirdrop, Kind::FtTransfer];
-    let rows = kinds
+    kinds
         .iter()
         .map(|&kind| {
             let scenario = build(kind, users, txs, 0x9EC1 + kind as u64);
             let slug = scenario.kind.label().to_lowercase().replace(' ', "_");
-            let run = |mode: AnalysisMode| {
-                set_default_mode(mode);
-                let result = run_with(&scenario, ChainConfig::evaluation(4, true), epochs);
-                set_default_mode(AnalysisMode::Refined);
-                let (mut total, mut ds) = (0u64, 0u64);
-                for report in &result.reports {
-                    for (reason, n) in &report.dispatch_reasons {
-                        total += *n as u64;
-                        if DS_REASONS.contains(&reason.as_str()) {
-                            ds += *n as u64;
-                        }
-                    }
-                }
-                let permille = ds * 1000 / total.max(1);
-                let mode_slug = match mode {
-                    AnalysisMode::Legacy => "legacy",
-                    AnalysisMode::Refined => "refined",
-                };
+            let run = |mode: AnalysisMode, mode_slug: &str| {
+                let (committed, permille) = precision_run(&scenario, mode, epochs);
                 reg.gauge(&format!("chain.dispatch.to_ds_permille.{mode_slug}.{slug}"))
                     .set(permille as i64);
-                (result.committed(), permille)
+                (committed, permille)
             };
-            let (_, legacy_ds) = run(AnalysisMode::Legacy);
-            let (committed, refined_ds) = run(AnalysisMode::Refined);
+            let (_, legacy_ds) = run(AnalysisMode::Legacy, "legacy");
+            let (committed, refined_ds) = run(AnalysisMode::Refined, "refined");
             PrecisionRow {
                 label: scenario.kind.label(),
                 committed,
@@ -1472,8 +1440,29 @@ pub fn precision_rows(users: u64, txs: usize, epochs: usize) -> Vec<PrecisionRow
                 to_ds_refined_permille: refined_ds,
             }
         })
-        .collect();
-    rows
+        .collect()
+}
+
+/// Runs `scenario` for `epochs` on a 4-shard evaluation network that
+/// deploys under `analysis`; returns the committed count and the share of
+/// dispatch decisions serialised at the DS committee (‰).
+pub fn precision_run(
+    scenario: &workloads::scenarios::Scenario,
+    analysis: cosplit_analysis::analysis::AnalysisMode,
+    epochs: usize,
+) -> (usize, u64) {
+    let config = ChainConfig { analysis, ..ChainConfig::evaluation(4, true) };
+    let result = workloads::runner::run_with(scenario, config, epochs);
+    let (mut total, mut ds) = (0u64, 0u64);
+    for report in &result.reports {
+        for (reason, n) in &report.dispatch_reasons {
+            total += *n as u64;
+            if DS_REASONS.contains(&reason.as_str()) {
+                ds += *n as u64;
+            }
+        }
+    }
+    (result.committed(), ds * 1000 / total.max(1))
 }
 
 // ------------------------------------------------------------- hot path
@@ -1630,7 +1619,7 @@ pub fn hotpath_experiment(
     let batch_txs = batch.len();
     let hot_clones = telemetry::registry().counter(telemetry::names::STATE_HOT_CLONES);
     let hc0 = hot_clones.get();
-    let mb = execute_batch(&unlimited_shard_config(), net.state(), batch);
+    let mb = execute_batch(&unlimited_shard_config(0, 1), net.state(), batch);
     let result = HotpathResult {
         dispatch,
         batch_txs,
@@ -1687,6 +1676,35 @@ mod tests {
             control.to_ds_legacy_permille, control.to_ds_refined_permille,
             "{control:?}"
         );
+    }
+
+    /// The analysis mode is a setting of one network: two networks built at
+    /// once on two threads, one legacy and one refined, each see their own
+    /// mode's DS share on the airdrop workload.
+    #[test]
+    fn analysis_mode_is_scoped_to_one_network() {
+        use cosplit_analysis::analysis::AnalysisMode;
+        let scenario = workloads::scenarios::build(
+            Kind::FtAirdrop,
+            20,
+            200,
+            0x9EC1 + Kind::FtAirdrop as u64,
+        );
+        let barrier = std::sync::Barrier::new(2);
+        let [(_, legacy), (committed, refined)] = std::thread::scope(|scope| {
+            [AnalysisMode::Legacy, AnalysisMode::Refined]
+                .map(|mode| {
+                    let (scenario, barrier) = (&scenario, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        precision_run(scenario, mode, 2)
+                    })
+                })
+                .map(|h| h.join().expect("precision run"))
+        });
+        assert_eq!(legacy, 1000, "legacy analysis serialises every claim at DS");
+        assert_eq!(refined, 0, "refined analysis shards every claim");
+        assert!(committed > 0);
     }
 
     #[test]

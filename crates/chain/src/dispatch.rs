@@ -6,6 +6,7 @@
 //! DS committee, which processes leftovers sequentially after the shards.
 
 use crate::address::{fnv1a, Address};
+use crate::network::ChainConfig;
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::{Transaction, TxKind};
 use crate::xshard::{LockKey, XShardPlan};
@@ -182,60 +183,24 @@ pub fn component_shard(contract: Address, field: &str, keys: &[Value], num_shard
     }
 }
 
-/// Dispatch-time protocol switches.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchPolicy {
-    /// Number of transaction shards.
-    pub num_shards: u32,
-    /// Honour CoSplit signatures (false = §4.1 baseline strategy).
-    pub use_cosplit: bool,
-    /// §4.2.1 relaxed nonces. When *false*, the strict gap-free nonce order
-    /// forces all of a sender's transactions through one place: a shard
-    /// decision away from the sender's home shard is demoted to the DS
-    /// committee (ablation mode; the paper's model always relaxes).
-    pub relaxed_nonces: bool,
-    /// Route split-footprint transactions to the cross-shard two-phase
-    /// commit stage instead of the DS committee (S-BAC-style,
-    /// [`crate::xshard`]). Off = every multi-shard footprint serialises
-    /// at DS, as in the plain Zilliqa model.
-    pub cross_shard_commit: bool,
-    /// Compose transition summaries across statically-resolvable
-    /// cross-contract sends ([`cosplit_analysis::callgraph`]): a chain
-    /// whose composed footprint pins to one shard commits there
-    /// (`ComposedLocal`), a multi-shard one gets an xshard lock plan
-    /// covering the whole chain. Off = chains fall back to the DS paths.
-    pub compose_calls: bool,
-}
-
 /// Dispatches one transaction (paper §4.3, "Assigning Transactions to
-/// Shards").
+/// Shards") under the network's protocol settings. Dispatch reads:
 ///
-/// `use_cosplit` switches between the CoSplit strategy (signatures honoured
-/// when present) and the default Zilliqa strategy used as the evaluation
-/// baseline (§4.1).
-pub fn dispatch(
-    tx: &Transaction,
-    state: &GlobalState,
-    num_shards: u32,
-    use_cosplit: bool,
-) -> Decision {
-    dispatch_policy(
-        tx,
-        state,
-        &DispatchPolicy {
-            num_shards,
-            use_cosplit,
-            relaxed_nonces: true,
-            cross_shard_commit: false,
-            compose_calls: false,
-        },
-    )
-}
-
-/// [`dispatch`] with explicit protocol switches.
-pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy) -> Decision {
-    let inner = dispatch_inner(tx, state, policy);
-    let decision = if policy.relaxed_nonces {
+/// * `use_cosplit` — honour CoSplit signatures when present; off is the
+///   default Zilliqa strategy used as the evaluation baseline (§4.1);
+/// * `relaxed_nonces` — §4.2.1 relaxed nonces. Off (the ablation), the
+///   strict gap-free nonce order forces all of a sender's transactions
+///   through one place, so a decision away from the sender's home shard
+///   is demoted to the DS committee;
+/// * `cross_shard_commit` — route split footprints to the cross-shard
+///   two-phase commit ([`crate::xshard`]) instead of the DS committee;
+/// * `compose_calls` — compose summaries across statically-resolvable
+///   cross-contract sends ([`cosplit_analysis::callgraph`]): a chain whose
+///   composed footprint pins to one shard commits there (`ComposedLocal`),
+///   a multi-shard one gets an xshard lock plan covering the whole chain.
+pub fn dispatch(tx: &Transaction, state: &GlobalState, config: &ChainConfig) -> Decision {
+    let inner = dispatch_inner(tx, state, config);
+    let decision = if config.relaxed_nonces {
         inner
     } else {
         // Strict nonces: a sender's transactions must be totally ordered, so
@@ -243,7 +208,7 @@ pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &DispatchP
         // cross-shard stage commits out of nonce order too, so it demotes
         // the same way under the ablation.
         match inner.assignment {
-            Assignment::Shard(s) if s == tx.sender.home_shard(policy.num_shards) => inner,
+            Assignment::Shard(s) if s == tx.sender.home_shard(config.num_shards) => inner,
             Assignment::Ds => inner,
             Assignment::Shard(_) | Assignment::XShard => {
                 Decision { assignment: Assignment::Ds, reason: DispatchReason::StrictNonceOrder }
@@ -254,8 +219,8 @@ pub fn dispatch_policy(tx: &Transaction, state: &GlobalState, policy: &DispatchP
     decision
 }
 
-fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy) -> Decision {
-    let num_shards = policy.num_shards;
+fn dispatch_inner(tx: &Transaction, state: &GlobalState, config: &ChainConfig) -> Decision {
+    let num_shards = config.num_shards;
     match &tx.kind {
         TxKind::Payment { .. } => Decision {
             assignment: Assignment::Shard(tx.sender.home_shard(num_shards)),
@@ -266,10 +231,10 @@ fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy
                 // Unknown contract: let the DS committee reject it.
                 return Decision { assignment: Assignment::Ds, reason: DispatchReason::BadArguments };
             };
-            if policy.use_cosplit {
+            if config.use_cosplit {
                 if let Some(sig) = &deployed.signature {
                     if let Some(tc) = sig.transition(transition) {
-                        if policy.compose_calls {
+                        if config.compose_calls {
                             if let Some(footprint) =
                                 composed_footprint(tx, state, deployed, transition, args, num_shards)
                             {
@@ -277,7 +242,7 @@ fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy
                                     tx,
                                     footprint,
                                     num_shards,
-                                    policy.cross_shard_commit,
+                                    config.cross_shard_commit,
                                 );
                             }
                         }
@@ -288,7 +253,7 @@ fn dispatch_inner(tx: &Transaction, state: &GlobalState, policy: &DispatchPolicy
                             &tc.constraints,
                             args,
                             num_shards,
-                            policy.cross_shard_commit,
+                            config.cross_shard_commit,
                         );
                     }
                     return Decision { assignment: Assignment::Ds, reason: DispatchReason::Unselected };
@@ -774,6 +739,7 @@ pub fn xshard_plan_with(
 mod tests {
     use super::*;
     use crate::account::Account;
+    use cosplit_analysis::analysis::AnalysisMode;
     use cosplit_analysis::signature::WeakReads;
     use cosplit_analysis::solver::AnalyzedContract;
     use std::sync::Arc;
@@ -822,10 +788,9 @@ mod tests {
         let compiled = scilla::interpreter::CompiledContract::compile(checked).unwrap();
         let mut state = GlobalState::new();
         state.accounts.insert(caddr, Account::contract());
-        state.contracts.insert(
-            caddr,
-            Arc::new(DeployedContract::new(caddr, compiled, vec![], signature)),
-        );
+        let deployed =
+            DeployedContract::new(caddr, compiled, vec![], signature, AnalysisMode::Refined);
+        state.contracts.insert(caddr, Arc::new(deployed));
         state.storage.insert(caddr, Default::default());
         (state, caddr)
     }
@@ -848,7 +813,7 @@ mod tests {
     fn cosplit_pins_transfer_to_sender_component_shard() {
         let (state, c) = setup(true);
         let tx = transfer_tx(1, 2, c);
-        let d = dispatch(&tx, &state, 4, true);
+        let d = dispatch(&tx, &state, &ChainConfig::evaluation(4, true));
         assert_eq!(d.reason, DispatchReason::OwnershipPinned);
         let expected =
             component_shard(c, "balances", &[Address::from_index(1).to_value()], 4);
@@ -859,7 +824,7 @@ mod tests {
     fn self_transfer_aliases_and_goes_to_ds() {
         let (state, c) = setup(true);
         let tx = transfer_tx(1, 1, c);
-        let d = dispatch(&tx, &state, 4, true);
+        let d = dispatch(&tx, &state, &ChainConfig::evaluation(4, true));
         assert_eq!(d.assignment, Assignment::Ds);
         assert_eq!(d.reason, DispatchReason::AliasConflict);
     }
@@ -880,7 +845,7 @@ mod tests {
                         ("amount".into(), Value::Uint(128, 1)),
                     ],
                 );
-                let d = dispatch(&tx, &state, 4, true);
+                let d = dispatch(&tx, &state, &ChainConfig::evaluation(4, true));
                 assert_eq!(d.reason, DispatchReason::Unconstrained);
                 d.assignment
             })
@@ -895,7 +860,7 @@ mod tests {
         let mut ds = 0;
         for i in 0..100 {
             let tx = transfer_tx(i, i + 1, c);
-            match dispatch(&tx, &state, 4, true).assignment {
+            match dispatch(&tx, &state, &ChainConfig::evaluation(4, true)).assignment {
                 Assignment::Shard(s) => {
                     assert_eq!(s, c.home_shard(4));
                     local += 1;
@@ -912,7 +877,7 @@ mod tests {
     fn cosplit_flag_off_ignores_signatures() {
         let (state, c) = setup(true);
         let tx = transfer_tx(1, 2, c);
-        let d = dispatch(&tx, &state, 4, false);
+        let d = dispatch(&tx, &state, &ChainConfig::evaluation(4, false));
         assert!(matches!(d.reason, DispatchReason::BaselineLocal | DispatchReason::BaselineCross));
     }
 
@@ -920,7 +885,7 @@ mod tests {
     fn payments_use_sender_home_shard() {
         let (state, _) = setup(false);
         let tx = Transaction::payment(1, Address::from_index(3), 1, Address::from_index(4), 10);
-        let d = dispatch(&tx, &state, 4, true);
+        let d = dispatch(&tx, &state, &ChainConfig::evaluation(4, true));
         assert_eq!(d.assignment, Assignment::Shard(Address::from_index(3).home_shard(4)));
     }
 }

@@ -10,6 +10,7 @@
 use crate::address::Address;
 use crate::delta::{compute_int_delta, read_component, Component, ContractDelta, StateDelta};
 use crate::dispatch::{component_shard, compose_chain, Assignment};
+use crate::network::ChainConfig;
 use cosplit_analysis::callgraph::Recipient;
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
@@ -29,34 +30,47 @@ use std::sync::Arc;
 
 use crate::state::{DeployedContract, GlobalState};
 
-/// Execution parameters for one committee in one epoch.
+/// Execution parameters for one committee in one epoch: the network's
+/// [`ChainConfig`] plus the committee's role. Every role-specific setting
+/// is derived from `role` here, so no protocol flag is copied.
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
     /// Which committee this is.
     pub role: Assignment,
-    /// Total number of transaction shards in the network.
-    pub num_shards: u32,
-    /// The committee's per-epoch gas budget.
-    pub gas_limit: u64,
     /// Current block number.
     pub block_number: u64,
-    /// Honour sharding signatures when computing deltas.
-    pub use_cosplit: bool,
-    /// Enforce the §6 overflow guard on `IntMerge` components.
-    pub overflow_guard: bool,
-    /// Allow messages to other contracts (DS committee only).
-    pub allow_contract_msgs: bool,
-    /// Run every transition with the effect tracer and audit its concrete
-    /// footprint against the static summary and sharding discipline.
-    pub audit: bool,
-    /// Follow statically-validated cross-contract send hops in place
-    /// instead of rerouting them to the DS committee: a message whose
-    /// recipient matches the classified call site that produced it
-    /// ([`cosplit_analysis::callgraph`]) executes here, because dispatch
-    /// already locked the whole composed chain. Unvalidated hops still
-    /// reroute. Also arms the composed-chain containment cross-check in
-    /// audit mode.
-    pub compose_calls: bool,
+    /// The network-wide protocol settings. Read here: `num_shards`,
+    /// `use_cosplit`, `audit` (run every transition with the effect tracer
+    /// and audit its footprint), and `compose_calls` (follow statically
+    /// validated cross-contract send hops in place, because dispatch already
+    /// locked the whole composed chain; also arms the composed-chain
+    /// containment cross-check in audit mode).
+    pub chain: ChainConfig,
+}
+
+impl ExecutorConfig {
+    /// The committee's per-epoch gas budget: the shard budget for a shard
+    /// and for the cross-shard stage, the DS budget for the DS committee.
+    pub fn gas_limit(&self) -> u64 {
+        match self.role {
+            Assignment::Shard(_) | Assignment::XShard => self.chain.shard_gas_limit,
+            Assignment::Ds => self.chain.ds_gas_limit,
+        }
+    }
+
+    /// Enforce the §6 overflow guard on `IntMerge` components. Only a shard
+    /// does: the DS committee serialises against merged state, and the
+    /// cross-shard stage commits each prepare into global state before the
+    /// next, so neither needs the N-way headroom split.
+    pub fn overflow_guard(&self) -> bool {
+        matches!(self.role, Assignment::Shard(_)) && self.chain.overflow_guard
+    }
+
+    /// Follow every message to another contract. Only the DS committee
+    /// does; elsewhere unvalidated hops reroute to it.
+    pub fn follows_contract_msgs(&self) -> bool {
+        self.role == Assignment::Ds
+    }
 }
 
 /// Outcome of one transaction.
@@ -124,7 +138,7 @@ pub struct MicroBlock {
     /// Total gas consumed.
     pub gas_used: u64,
     /// Containment breaches found by the effect-trace auditor (empty unless
-    /// `ExecutorConfig::audit` is set; non-empty means a static summary
+    /// `ChainConfig::audit` is set; non-empty means a static summary
     /// under-approximated a real execution).
     pub audit_violations: Vec<AuditViolation>,
 }
@@ -149,7 +163,7 @@ pub fn execute_batch(
     let mut exec = Executor::new(cfg, snapshot);
     let mut over_budget = false;
     for tx in txs {
-        if over_budget || exec.gas_used + tx.gas_limit > cfg.gas_limit {
+        if over_budget || exec.gas_used + tx.gas_limit > cfg.gas_limit() {
             over_budget = true;
             telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
                 a.push(("tx", tx.id.to_string()));
@@ -312,7 +326,7 @@ struct CallerFrame<'a> {
 }
 
 /// One audited transition invocation, retained for the pairwise conflict
-/// cross-check (populated only when `ExecutorConfig::audit` is set).
+/// cross-check (populated only when `ChainConfig::audit` is set).
 struct TracedCall {
     tx_id: u64,
     contract: Address,
@@ -348,7 +362,7 @@ impl<'a> Executor<'a> {
             balance: Ledger {
                 snapshot,
                 role: cfg.role,
-                num_shards: cfg.num_shards,
+                num_shards: cfg.chain.num_shards,
                 spent: BTreeMap::new(),
                 deltas: BTreeMap::new(),
                 log: Vec::new(),
@@ -493,7 +507,7 @@ impl<'a> Executor<'a> {
         let gas_total = COST_TX_BASE + gas.used();
         match result {
             Ok(()) => {
-                if self.cfg.overflow_guard
+                if self.cfg.overflow_guard()
                     && self.overflow_violation(&journal).is_some() {
                         journal.rollback(&mut self.storages);
                         self.balance.undo(ledger_cp);
@@ -557,7 +571,7 @@ impl<'a> Executor<'a> {
         let (outcome, footprint) = {
             let storage = self.storages.get_mut(&contract).expect("ensured above");
             let mut store = JournaledStore { contract, inner: &mut storage.state, journal };
-            if self.cfg.audit {
+            if self.cfg.chain.audit {
                 let mut tracer = EffectTracer::new(transition);
                 let out = deployed
                     .compiled
@@ -645,12 +659,12 @@ impl<'a> Executor<'a> {
         if let Some(summary) = deployed.summary(&fp.transition) {
             found.extend(audit_transition(fp, &summary, &resolve));
         }
-        if self.cfg.use_cosplit {
+        if self.cfg.chain.use_cosplit {
             if let (Assignment::Shard(s), Some(sig)) = (self.cfg.role, &deployed.signature) {
                 if let Some(tcons) = sig.transition(&fp.transition) {
                     let contract = deployed.address;
                     let shard_of = |field: &str, keys: &[Value]| {
-                        component_shard(contract, field, keys, self.cfg.num_shards)
+                        component_shard(contract, field, keys, self.cfg.chain.num_shards)
                     };
                     found.extend(audit_placement(fp, sig, tcons, s, &shard_of));
                 }
@@ -679,8 +693,8 @@ impl<'a> Executor<'a> {
             // have predicted it: the message must match a statically
             // classified call site of the sending transition whose resolved
             // recipient is this recipient. Everything else reroutes to DS.
-            let may_follow = self.cfg.allow_contract_msgs
-                || (self.cfg.compose_calls && self.hop_allowed(&from, msg, recipient));
+            let may_follow = self.cfg.follows_contract_msgs()
+                || (self.cfg.chain.compose_calls && self.hop_allowed(&from, msg, recipient));
             if !may_follow {
                 return Err(CallError::CrossContract);
             }
@@ -764,12 +778,6 @@ impl<'a> Executor<'a> {
     /// includes earlier committed transactions, via the working state) must
     /// not exceed `⌊(MAX − v)/N⌋` of the epoch-start value `v`.
     fn overflow_violation(&self, journal: &TxJournal) -> Option<Component> {
-        // The DS committee serialises against merged state; the cross-shard
-        // stage likewise commits each prepare into global state before the
-        // next, so neither needs the N-way headroom split.
-        if matches!(self.cfg.role, Assignment::Ds | Assignment::XShard) {
-            return None;
-        }
         for (addr, comp) in &journal.touched {
             {
                 let Some(joins) = self.joins_of(addr) else { continue };
@@ -791,7 +799,7 @@ impl<'a> Executor<'a> {
                     _ => continue,
                 };
                 let headroom = uint_max(width).saturating_sub(initial);
-                let allowance = headroom / self.cfg.num_shards as u128;
+                let allowance = headroom / self.cfg.chain.num_shards as u128;
                 if now > initial && now - initial > allowance {
                     return Some(comp.clone());
                 }
@@ -801,7 +809,7 @@ impl<'a> Executor<'a> {
     }
 
     fn joins_of(&self, contract: &Address) -> Option<&BTreeMap<String, Join>> {
-        if !self.cfg.use_cosplit {
+        if !self.cfg.chain.use_cosplit {
             return None;
         }
         self.snapshot
@@ -873,7 +881,7 @@ impl<'a> Executor<'a> {
     /// An escape means a chain executed a hop the static call graph did not
     /// predict — the locks dispatch took did not cover it.
     fn composed_cross_check(&mut self) {
-        if !self.cfg.compose_calls || self.traced.is_empty() {
+        if !self.cfg.chain.compose_calls || self.traced.is_empty() {
             return;
         }
         let mut found = Vec::new();

@@ -3,22 +3,26 @@
 
 use crate::address::Address;
 use crate::delta::StateDelta;
-use crate::dispatch::{dispatch_policy, xshard_plan_with, Assignment, DispatchPolicy};
+use crate::dispatch::{dispatch, xshard_plan_with, Assignment};
 use crate::error::{DeployError, MergeError};
 use crate::executor::{execute_batch, ExecutorConfig, MicroBlock, Receipt, TxStatus};
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::Transaction;
 use crate::xshard::{decide, LockTable, Verdict, VoteMsg, XShardFaults, XShardStats};
+use cosplit_analysis::analysis::AnalysisMode;
 use cosplit_analysis::signature::{ShardingSignature, WeakReads};
 use cosplit_analysis::solver::AnalyzedContract;
 use scilla::interpreter::CompiledContract;
 use scilla::state::InMemoryState;
+use scilla::typechecker::CheckedModule;
 use scilla::value::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Network-wide protocol parameters.
+/// Network-wide protocol parameters: the one place a protocol setting is
+/// written. Dispatch reads it directly, and every committee's
+/// [`ExecutorConfig`] holds it by value next to the committee's role.
 #[derive(Debug, Clone)]
 pub struct ChainConfig {
     /// Number of transaction shards (the DS committee is extra).
@@ -61,6 +65,10 @@ pub struct ChainConfig {
     /// shard executors follow validated send hops instead of rerouting
     /// them to the DS committee. Off by default (chains serialise at DS).
     pub compose_calls: bool,
+    /// The analysis deployments run under: it derives the signatures
+    /// [`Network::deploy`] validates and the summaries the auditor checks
+    /// against. Scoped to this network, so two networks may differ.
+    pub analysis: AnalysisMode,
 }
 
 impl ChainConfig {
@@ -83,6 +91,7 @@ impl ChainConfig {
             cross_shard_commit: false,
             colocate_families: false,
             compose_calls: false,
+            analysis: AnalysisMode::Refined,
         }
     }
 
@@ -279,7 +288,7 @@ impl Network {
         let signature: Option<ShardingSignature> = match sharding {
             Some((selection, weak_reads)) => {
                 let t0 = Instant::now();
-                let analyzed = AnalyzedContract::analyze(&checked);
+                let analyzed = AnalyzedContract::analyze_with_mode(&checked, self.config.analysis);
                 let selection: Vec<String> = selection.iter().map(|s| s.to_string()).collect();
                 let submitted = analyzed.query(&selection, &weak_reads);
                 // Miner-side validation: re-derive and compare.
@@ -292,6 +301,20 @@ impl Network {
             None => None,
         };
 
+        self.install(addr, checked, params, signature)?;
+        Ok(timings)
+    }
+
+    /// Compiles a checked contract and installs it at `addr`: initial
+    /// fields, contract account, placement, and the deployed record
+    /// (under this network's analysis mode).
+    fn install(
+        &mut self,
+        addr: Address,
+        checked: CheckedModule,
+        params: Vec<(String, Value)>,
+        signature: Option<ShardingSignature>,
+    ) -> Result<(), DeployError> {
         let compiled = CompiledContract::compile(checked)?;
         let fields = compiled.init_fields(&params)?;
         self.state.storage.insert(addr, Arc::new(InMemoryState::from_fields(fields)));
@@ -301,10 +324,10 @@ impl Network {
             .or_insert_with(crate::account::Account::contract)
             .is_contract = true;
         self.maybe_colocate(addr, &params);
-        self.state
-            .contracts
-            .insert(addr, Arc::new(DeployedContract::new(addr, compiled, params, signature)));
-        Ok(timings)
+        let deployed =
+            DeployedContract::new(addr, compiled, params, signature, self.config.analysis);
+        self.state.contracts.insert(addr, Arc::new(deployed));
+        Ok(())
     }
 
     /// Signature-aware placement (`ChainConfig::colocate_families`): a
@@ -357,19 +380,7 @@ impl Network {
         }
         let module = scilla::parser::parse_module(source)?;
         let checked = scilla::typechecker::typecheck(module)?;
-        let compiled = CompiledContract::compile(checked)?;
-        let fields = compiled.init_fields(&params)?;
-        self.state.storage.insert(addr, Arc::new(InMemoryState::from_fields(fields)));
-        self.state
-            .accounts
-            .entry(addr)
-            .or_insert_with(crate::account::Account::contract)
-            .is_contract = true;
-        self.maybe_colocate(addr, &params);
-        self.state
-            .contracts
-            .insert(addr, Arc::new(DeployedContract::new(addr, compiled, params, signature)));
-        Ok(())
+        self.install(addr, checked, params, signature)
     }
 
     /// Lookup-node stage: drains the pool into per-committee packets.
@@ -384,17 +395,10 @@ impl Network {
             ..Default::default()
         };
         let mut held_back: Vec<Transaction> = Vec::new();
-        let policy = DispatchPolicy {
-            num_shards: self.config.num_shards,
-            use_cosplit: self.config.use_cosplit,
-            relaxed_nonces: self.config.relaxed_nonces,
-            cross_shard_commit: self.config.cross_shard_commit,
-            compose_calls: self.config.compose_calls,
-        };
         {
             let _span = telemetry::span!("chain.network.phase.dispatch");
             for tx in pool.drain(..) {
-                let decision = dispatch_policy(&tx, &self.state, &policy);
+                let decision = dispatch(&tx, &self.state, &self.config);
                 let packet = match decision.assignment {
                     Assignment::Shard(s) => &mut packets.shard_batches[s as usize],
                     Assignment::XShard => &mut packets.xshard_batch,
@@ -428,20 +432,15 @@ impl Network {
         packets
     }
 
+    /// The executor configuration `role` runs with this epoch.
+    fn executor_config(&self, role: Assignment) -> ExecutorConfig {
+        ExecutorConfig { role, block_number: self.block_number, chain: self.config.clone() }
+    }
+
     /// The executor configuration one transaction shard runs with this
     /// epoch.
     pub fn shard_executor_config(&self, shard: u32) -> ExecutorConfig {
-        ExecutorConfig {
-            role: Assignment::Shard(shard),
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.shard_gas_limit,
-            block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: self.config.overflow_guard,
-            allow_contract_msgs: false,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
-        }
+        self.executor_config(Assignment::Shard(shard))
     }
 
     /// The executor configuration a cross-shard coordinator prepares with:
@@ -449,17 +448,7 @@ impl Network {
     /// but cross-contract messages still reroute — chained calls escape the
     /// lock plan, so only the DS committee may run them.
     pub fn xshard_executor_config(&self) -> ExecutorConfig {
-        ExecutorConfig {
-            role: Assignment::XShard,
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.shard_gas_limit,
-            block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: false,
-            allow_contract_msgs: false,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
-        }
+        self.executor_config(Assignment::XShard)
     }
 
     /// Cross-shard commit stage (paper's DS choke point, replaced by an
@@ -497,7 +486,7 @@ impl Network {
 
         for tx in batch {
             // Stage gas budget (same admission rule as a shard packet).
-            if block.gas_used + tx.gas_limit > self.config.shard_gas_limit {
+            if block.gas_used + tx.gas_limit > cfg.gas_limit() {
                 telemetry::trace::instant_with(telemetry::names::TX_DEFER, |a| {
                     a.push(("tx", tx.id.to_string()));
                     a.push(("why", "gas_budget".to_string()));
@@ -691,17 +680,7 @@ impl Network {
 
     /// The executor configuration the DS committee runs with this epoch.
     pub fn ds_executor_config(&self) -> ExecutorConfig {
-        ExecutorConfig {
-            role: Assignment::Ds,
-            num_shards: self.config.num_shards,
-            gas_limit: self.config.ds_gas_limit,
-            block_number: self.block_number,
-            use_cosplit: self.config.use_cosplit,
-            overflow_guard: false,
-            allow_contract_msgs: true,
-            audit: self.config.audit,
-            compose_calls: self.config.compose_calls,
-        }
+        self.executor_config(Assignment::Ds)
     }
 
     /// Shard stage: executes the per-shard packets in parallel on the

@@ -507,7 +507,7 @@ pub fn run_sim(
             let s = s as u32;
             let mut ecfg = net.shard_executor_config(s);
             if gas_faulted.contains(&s) {
-                ecfg.gas_limit = (ecfg.gas_limit / 8).max(1);
+                ecfg.chain.shard_gas_limit = (ecfg.chain.shard_gas_limit / 8).max(1);
             }
             if panic_shards.contains(&s) {
                 // The thread dies mid-batch: any partial work is lost with

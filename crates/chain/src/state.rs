@@ -2,7 +2,7 @@
 
 use crate::account::Account;
 use crate::address::Address;
-use cosplit_analysis::analysis::summarize_contract;
+use cosplit_analysis::analysis::{analyze_contract, AnalysisMode};
 use cosplit_analysis::callgraph::ContractCalls;
 use cosplit_analysis::conflict::ConflictMatrix;
 use cosplit_analysis::effects::TransitionSummary;
@@ -25,6 +25,9 @@ pub struct DeployedContract {
     pub params: Vec<(String, Value)>,
     /// The validated sharding signature, if one was submitted.
     pub signature: Option<ShardingSignature>,
+    /// The analysis the deploying network ran: the signature was validated
+    /// under it, and the lazy summaries are derived with it.
+    pub analysis: AnalysisMode,
     /// Lazily derived static effect summaries, shared by every shard's
     /// effect-trace auditor, indexed by transition name for O(log n) lookup.
     /// Derived on first use so chains that never audit pay nothing.
@@ -63,17 +66,17 @@ impl DeployedContract {
         compiled: CompiledContract,
         params: Vec<(String, Value)>,
         signature: Option<ShardingSignature>,
+        analysis: AnalysisMode,
     ) -> Self {
         // Deploy-time warm-up: lower every transition now so the first
         // transaction of the contract's life pays no compile cost.
-        if scilla::compile::enabled() {
-            compiled.precompile();
-        }
+        compiled.precompile();
         DeployedContract {
             address,
             compiled,
             params,
             signature,
+            analysis,
             summaries: RwLock::new(None),
             conflicts: RwLock::new(None),
             calls: RwLock::new(None),
@@ -103,7 +106,8 @@ impl DeployedContract {
         }
         // Derive outside the write lock; a racing deriver produces the same
         // result, and the first store wins.
-        let derived = Arc::new(SummaryIndex::build(summarize_contract(self.compiled.checked())));
+        let summaries = analyze_contract(self.compiled.checked(), self.analysis).summaries;
+        let derived = Arc::new(SummaryIndex::build(summaries));
         let mut slot = self.summaries.write().expect("summaries lock");
         Arc::clone(slot.get_or_insert(derived))
     }

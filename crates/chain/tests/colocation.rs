@@ -93,7 +93,7 @@ fn family_deploys_pin_to_the_roots_shard() {
         "to".into(),
         local_user.to_value(),
     )]);
-    let d = dispatch(&tx, net.state(), SHARDS, true);
+    let d = dispatch(&tx, net.state(), net.config());
     assert_eq!(d.assignment, Assignment::Shard(root_shard));
     assert_eq!(d.reason, DispatchReason::BaselineLocal);
 }
@@ -118,7 +118,7 @@ fn colocation_off_keeps_hashed_placement() {
         "to".into(),
         local_user.to_value(),
     )]);
-    let d = dispatch(&tx, net.state(), SHARDS, true);
+    let d = dispatch(&tx, net.state(), net.config());
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::BaselineCross);
 }

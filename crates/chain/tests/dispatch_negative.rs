@@ -131,8 +131,7 @@ fn every_negative_path_lands_safely_and_is_counted() {
             amount(5),
         ]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Shard(bare.home_shard(SHARDS)));
     assert_eq!(d.reason, DispatchReason::BaselineLocal);
@@ -142,8 +141,7 @@ fn every_negative_path_lands_safely_and_is_counted() {
             amount(5),
         ]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::BaselineCross);
@@ -153,8 +151,7 @@ fn every_negative_path_lands_safely_and_is_counted() {
     let d = dispatch(
         &Transaction::call(3, local_user, 2, token, "Burn", vec![amount(1)]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::Unselected);
@@ -164,8 +161,7 @@ fn every_negative_path_lands_safely_and_is_counted() {
     let d = dispatch(
         &Transaction::call(4, local_user, 3, router, "Route", vec![amount(1)]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::Unsat);
@@ -177,8 +173,7 @@ fn every_negative_path_lands_safely_and_is_counted() {
             token.to_value(),
         )]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::NotUserAddr);
@@ -189,16 +184,14 @@ fn every_negative_path_lands_safely_and_is_counted() {
     let d = dispatch(
         &Transaction::call(6, local_user, 5, ghost, "Anything", vec![]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::BadArguments);
     let d = dispatch(
         &Transaction::call(7, local_user, 6, token, "Transfer", vec![amount(1)]),
         net.state(),
-        SHARDS,
-        true,
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::BadArguments);

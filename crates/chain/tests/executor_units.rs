@@ -13,17 +13,52 @@ use scilla::state::StateStore;
 use scilla::value::Value;
 
 fn cfg(role: Assignment, num_shards: u32) -> ExecutorConfig {
-    ExecutorConfig {
-        role,
-        num_shards,
-        gas_limit: 1_000_000,
-        block_number: 5,
-        use_cosplit: true,
-        overflow_guard: false,
-        allow_contract_msgs: matches!(role, Assignment::Ds),
+    let chain = ChainConfig {
+        shard_gas_limit: 1_000_000,
+        ds_gas_limit: 1_000_000,
         audit: true,
-        compose_calls: false,
+        ..ChainConfig::evaluation(num_shards, true)
+    };
+    ExecutorConfig { role, block_number: 5, chain }
+}
+
+/// Every committee's settings come from the one `ChainConfig` plus its
+/// role: the budget is the shard budget for a shard and the cross-shard
+/// stage and the DS budget for DS, only a shard enforces the overflow
+/// guard, and only DS follows contract messages.
+#[test]
+fn executor_settings_derive_from_role() {
+    let chain = ChainConfig {
+        overflow_guard: true,
+        shard_gas_limit: 700,
+        ds_gas_limit: 300,
+        ..ChainConfig::evaluation(3, true)
+    };
+    let net = Network::new(chain.clone());
+    let shard = net.shard_executor_config(2);
+    let xshard = net.xshard_executor_config();
+    let ds = net.ds_executor_config();
+    assert_eq!(
+        [shard.role, xshard.role, ds.role],
+        [Assignment::Shard(2), Assignment::XShard, Assignment::Ds]
+    );
+    assert_eq!([shard.gas_limit(), xshard.gas_limit(), ds.gas_limit()], [700, 700, 300]);
+    assert_eq!(
+        [shard.overflow_guard(), xshard.overflow_guard(), ds.overflow_guard()],
+        [true, false, false]
+    );
+    assert_eq!(
+        [shard.follows_contract_msgs(), xshard.follows_contract_msgs(), ds.follows_contract_msgs()],
+        [false, false, true]
+    );
+    for c in [&shard, &xshard, &ds] {
+        assert_eq!(c.block_number, net.block_number());
+        assert_eq!(c.chain.num_shards, chain.num_shards);
+        assert!(c.chain.overflow_guard, "the chain setting itself is never rewritten");
     }
+    // The guard follows the chain setting on a shard.
+    let unguarded = Network::new(ChainConfig { overflow_guard: false, ..chain });
+    assert!(!unguarded.shard_executor_config(0).overflow_guard());
 }
 
 #[test]
@@ -128,7 +163,7 @@ fn gas_budget_defers_the_tail_of_the_batch() {
     let mut config = cfg(Assignment::Shard(home), 1);
     // Admission checks actual usage so far plus the next tx's gas_limit
     // (5_000): 50·k + 5_000 > 5_200 first holds at k = 5.
-    config.gas_limit = 5_200;
+    config.chain.shard_gas_limit = 5_200;
     let txs: Vec<Transaction> = (0..10)
         .map(|i| Transaction::payment(i, alice, i + 1, Address::from_index(2), 1))
         .collect();
@@ -163,7 +198,7 @@ fn lookup_packets_hold_back_overflowing_transactions() {
 
 #[test]
 fn strict_nonce_policy_serialises_away_from_home() {
-    use chain::dispatch::{dispatch_policy, DispatchPolicy};
+    use chain::dispatch::dispatch;
     // An unconstrained (fully commutative) call normally spreads; with
     // strict nonces it may only run at the sender's home shard.
     let mut net = Network::new(ChainConfig::evaluation(4, true));
@@ -180,19 +215,13 @@ fn strict_nonce_policy_serialises_away_from_home() {
         end
     "#;
     net.deploy(contract, src, vec![], Some((&["Add"], WeakReads::AcceptAll))).unwrap();
-    let strict = DispatchPolicy {
-        num_shards: 4,
-        use_cosplit: true,
-        relaxed_nonces: false,
-        cross_shard_commit: false,
-        compose_calls: false,
-    };
+    let strict = ChainConfig { relaxed_nonces: false, ..net.config().clone() };
     for i in 0..32 {
         let tx = Transaction::call(i, alice, i + 1, contract, "Add", vec![(
             "v".into(),
             Value::Uint(128, 1),
         )]);
-        let d = dispatch_policy(&tx, net.state(), &strict);
+        let d = dispatch(&tx, net.state(), &strict);
         match d.assignment {
             Assignment::Shard(s) => assert_eq!(s, alice.home_shard(4)),
             Assignment::Ds => {}
@@ -346,17 +375,7 @@ fn cross_contract_message_reroutes_with_cause() {
         "note".into(),
         Value::Str("hi".into()),
     )]);
-    let cfg = ExecutorConfig {
-        role: Assignment::Shard(0),
-        num_shards: 2,
-        gas_limit: 1_000_000,
-        block_number: 1,
-        use_cosplit: true,
-        overflow_guard: false,
-        allow_contract_msgs: false,
-        audit: true,
-        compose_calls: false,
-    };
+    let cfg = ExecutorConfig { block_number: 1, ..cfg(Assignment::Shard(0), 2) };
     let mb = execute_batch(&cfg, net.state(), vec![tx]);
     assert_eq!(mb.receipts[0].status, TxStatus::Rerouted(RerouteCause::CrossContract));
     assert_eq!(mb.rerouted.len(), 1);
@@ -442,11 +461,9 @@ fn hot_path_is_clone_free() {
             ])
         })
         .collect();
-    let cfg = ExecutorConfig {
-        gas_limit: u64::MAX,
-        audit: false,
-        ..cfg(Assignment::Shard(0), 1)
-    };
+    let mut cfg = cfg(Assignment::Shard(0), 1);
+    cfg.chain.shard_gas_limit = u64::MAX;
+    cfg.chain.audit = false;
 
     let counter = telemetry::registry().counter(telemetry::names::STATE_HOT_CLONES);
     let before = counter.get();

@@ -74,7 +74,7 @@ fn dispatch_counters_match_decisions_and_epoch_populates_executor_metrics() {
 
     let before = telemetry::registry().snapshot();
     let decisions: Vec<Decision> =
-        txs.iter().map(|tx| dispatch(tx, net.state(), 4, true)).collect();
+        txs.iter().map(|tx| dispatch(tx, net.state(), net.config())).collect();
     let delta = telemetry::registry().snapshot().diff(&before);
 
     let mut expected: BTreeMap<String, u64> = BTreeMap::new();

@@ -7,7 +7,7 @@
 //! aborts, repools, and commits on a later epoch.
 
 use chain::address::Address;
-use chain::dispatch::{dispatch_policy, Assignment, DispatchPolicy, DispatchReason};
+use chain::dispatch::{dispatch, Assignment, DispatchReason};
 use chain::network::{ChainConfig, Network};
 use chain::sim::{run_sim, FaultEvent, FaultKind, FaultPlan, SimConfig, TxOutcome};
 use chain::tx::Transaction;
@@ -40,16 +40,6 @@ const ROUTER: &str = r#"
 
 fn cfg(cross_shard_commit: bool) -> ChainConfig {
     ChainConfig { cross_shard_commit, ..ChainConfig::small(SHARDS, true) }
-}
-
-fn policy(cross_shard_commit: bool) -> DispatchPolicy {
-    DispatchPolicy {
-        num_shards: SHARDS,
-        use_cosplit: true,
-        relaxed_nonces: true,
-        cross_shard_commit,
-        compose_calls: false,
-    }
 }
 
 /// A ProofIPFS world: the `Register` transition's footprint is the sender's
@@ -91,7 +81,7 @@ fn split_register(net: &Network, contract: Address, id: u64, nonce: u64) -> Tran
             .with_amount(10)
         })
         .find(|tx| {
-            dispatch_policy(tx, net.state(), &policy(true)).assignment == Assignment::XShard
+            dispatch(tx, net.state(), net.config()).assignment == Assignment::XShard
         })
         .expect("some hash string maps off the sender's home shard")
 }
@@ -130,13 +120,13 @@ fn negative_paths_abort_cleanly_and_are_counted() {
     )
     .unwrap();
     let before = telemetry::registry().snapshot();
-    let d = dispatch_policy(
+    let d = dispatch(
         &Transaction::call(1, Address::from_index(0), 1, router, "Route", vec![(
             "amount".into(),
             Value::Uint(128, 1),
         )]),
         net.state(),
-        &policy(true),
+        net.config(),
     );
     assert_eq!(d.assignment, Assignment::Ds);
     assert_eq!(d.reason, DispatchReason::Unsat);
@@ -149,11 +139,11 @@ fn negative_paths_abort_cleanly_and_are_counted() {
     // stage off, cross-shard commit with it on.
     let (net, contract) = ipfs_world(cfg(true));
     let tx = split_register(&net, contract, 10, 1);
-    let off = dispatch_policy(&tx, net.state(), &policy(false));
+    let off = dispatch(&tx, net.state(), &cfg(false));
     assert_eq!(off.assignment, Assignment::Ds);
     assert_eq!(off.reason, DispatchReason::SplitFootprint);
     let before = telemetry::registry().snapshot();
-    let on = dispatch_policy(&tx, net.state(), &policy(true));
+    let on = dispatch(&tx, net.state(), net.config());
     assert_eq!(on.assignment, Assignment::XShard);
     assert_eq!(on.reason, DispatchReason::CrossShard);
     let delta = telemetry::registry().snapshot().diff(&before);

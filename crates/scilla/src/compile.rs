@@ -28,9 +28,11 @@
 //! evaluator, so higher-order library code behaves exactly as before (and
 //! bodies are `Arc`-shared instead of deep-cloned per closure creation).
 //!
-//! The differential property tests in `tests/compile_props.rs` check the
-//! equivalence on random contracts; `COSPLIT_COMPILE=off` forces the AST
-//! walker at runtime for A/B measurement.
+//! Compiled code always runs when a transition has it. The AST walker stays
+//! as the differential reference: the property tests in
+//! `tests/compile_props.rs` check the equivalence on random contracts, and
+//! [`ExecMode::Ast`](crate::interpreter::ExecMode::Ast) forces it per call
+//! for the hot-path A/B measurement.
 
 use crate::ast::*;
 use crate::builtins::{bind_builtin, empty_map, BuiltinFn};
@@ -46,17 +48,7 @@ use crate::trace::EffectTracer;
 use crate::types::Type;
 use crate::value::{Closure, Env, TypeClosure, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
-
-/// Is compiled execution enabled? Defaults to on; set `COSPLIT_COMPILE=off`
-/// (or `0`) to force every transition through the AST walker — the knob the
-/// hot-path experiment uses for its A/B comparison.
-pub fn enabled() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| {
-        std::env::var("COSPLIT_COMPILE").map(|v| v != "off" && v != "0").unwrap_or(true)
-    })
-}
+use std::sync::Arc;
 
 /// The lowered form of one transition: compiled code, or a marker that this
 /// transition must run on the AST walker.

@@ -16,6 +16,11 @@ cargo test --workspace -q
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own package (outside the workspace) but is built against
+# the library's public API, so an API change must not break it unnoticed.
+echo "== perfbench tests (repository benchmark builds against the library API) =="
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== sim smoke (differential oracle, fixed seed) =="
 cargo run --release -q -p cosplit-bench --bin sim_smoke
 

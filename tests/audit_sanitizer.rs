@@ -57,7 +57,7 @@ fn weakened_summary_yields_span_bearing_typed_violations() {
     let mut violations = Vec::new();
     for (s, batch) in packets.shard_batches.into_iter().enumerate() {
         let ecfg = net.shard_executor_config(s as u32);
-        assert!(ecfg.audit, "ChainConfig::small must audit");
+        assert!(ecfg.chain.audit, "ChainConfig::small must audit");
         violations.extend(execute_batch(&ecfg, net.state(), batch).audit_violations);
     }
     violations.extend(
