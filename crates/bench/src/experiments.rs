@@ -1060,6 +1060,18 @@ fn unlimited_shard_config(shard: u32, num_shards: u32) -> chain::executor::Execu
     }
 }
 
+/// The hot-path batch: the FT transfers of `users` holders that dispatch
+/// to shard 0 of a one-shard evaluation network, with the serial executor
+/// configuration that runs the whole batch. [`hotpath_experiment`] times it;
+/// the allocation-budget test counts its heap allocations.
+pub fn hotpath_batch(
+    users: u64,
+    txs: usize,
+) -> (chain::network::Network, Vec<Transaction>, chain::executor::ExecutorConfig) {
+    let (net, batch) = ft_shard_batch(users, txs);
+    (net, batch, unlimited_shard_config(0, 1))
+}
+
 /// Compares a fresh measurement against the committed baseline. Wall
 /// metrics fail past `1 + tolerance` (the check.sh gate uses 0.20);
 /// deterministic dispatch fractions fail past ±10 permille — those cannot
@@ -1615,11 +1627,11 @@ pub fn hotpath_experiment(
 
     let dispatch = hotpath_dispatch(dispatch_calls, reps);
 
-    let (net, batch) = ft_shard_batch(users, txs);
+    let (net, batch, cfg) = hotpath_batch(users, txs);
     let batch_txs = batch.len();
     let hot_clones = telemetry::registry().counter(telemetry::names::STATE_HOT_CLONES);
     let hc0 = hot_clones.get();
-    let mb = execute_batch(&unlimited_shard_config(0, 1), net.state(), batch);
+    let mb = execute_batch(&cfg, net.state(), batch);
     let result = HotpathResult {
         dispatch,
         batch_txs,

@@ -63,12 +63,41 @@ impl fmt::Display for Address {
 /// FNV-1a over arbitrary bytes; used for every deterministic placement
 /// decision (account→shard, state component→shard).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// An incremental [`fnv1a`]: hashing pieces in turn equals hashing their
+/// concatenation. As a [`std::fmt::Write`] sink it hashes a value's
+/// `Display` form without materialising the string.
+pub(crate) struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty-input state.
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+
+    /// Folds in `bytes`.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -28,12 +28,18 @@ use std::collections::BTreeMap;
 /// The field name is interned; component maps key and compare by intern id
 /// (fast, in-process deterministic). Anything canonical — the wire encoding,
 /// diagnostics — resolves the [`Sym`] back to text and orders by it.
-pub type Component = (Sym, Vec<Value>);
+///
+/// The key path is allocated once, when a transaction first writes the
+/// component, and then shared by refcount: the journal entry, the shard's
+/// touched set, its [`ContractDelta`] and the merged delta all hold the
+/// same path. `Arc<[Value]>` compares and orders exactly
+/// like the slice, so maps keyed by components keep their order.
+pub type Component = (Sym, Arc<[Value]>);
 
 /// Renders a component for diagnostics.
 pub fn component_name(c: &Component) -> String {
     let mut s = c.0.as_str().to_string();
-    for k in &c.1 {
+    for k in c.1.iter() {
         s.push_str(&format!("[{k}]"));
     }
     s
@@ -184,17 +190,12 @@ impl StateDelta {
                 }
             }
             for (comp, id) in &cd.int_deltas {
-                let (field, keys) = comp;
-                let err = || MergeError::DeltaOutOfRange {
-                    contract: addr.to_string(),
-                    component: component_name(comp),
-                };
-                let old = storage.map_get_sym(*field, keys);
-                let nv = apply_int_delta(old.as_ref(), id).ok_or_else(err)?;
-                if keys.is_empty() {
-                    storage.store_sym(*field, nv);
-                } else {
-                    storage.map_update_sym(*field, keys, nv);
+                // One walk to the component; out of range, nothing is written.
+                if !storage.update_sym(comp.0, &comp.1, |old| apply_int_delta(old, id)) {
+                    return Err(MergeError::DeltaOutOfRange {
+                        contract: addr.to_string(),
+                        component: component_name(comp),
+                    });
                 }
             }
         }
@@ -285,7 +286,7 @@ impl StateDelta {
             let cd = out.contracts.entry(addr).or_default();
             for i in c["ints"].as_array().ok_or("missing ints")? {
                 let field = scilla::intern::intern(i["field"].as_str().ok_or("missing field")?);
-                let keys = parse_keys(&i["keys"])?;
+                let keys = parse_keys(&i["keys"])?.into();
                 let delta: i128 =
                     i["delta"].as_str().ok_or("missing delta")?.parse().map_err(|_| "bad delta")?;
                 let width = i["width"].as_u64().ok_or("missing width")? as u32;
@@ -294,7 +295,7 @@ impl StateDelta {
             }
             for o in c["overwrites"].as_array().ok_or("missing overwrites")? {
                 let field = scilla::intern::intern(o["field"].as_str().ok_or("missing field")?);
-                let keys = parse_keys(&o["keys"])?;
+                let keys = parse_keys(&o["keys"])?.into();
                 let value = match &o["value"] {
                     serde_json::Value::Null => None,
                     v => Some(scilla::wire::from_json(v)?),
@@ -443,14 +444,14 @@ mod tests {
         let mk = |d: i128| {
             let mut sd = StateDelta::new();
             sd.contracts.entry(c).or_default().int_deltas.insert(
-                ("balances".into(), vec![key(1)]),
+                ("balances".into(), vec![key(1)].into()),
                 int_delta(d),
             );
             sd
         };
         let merged = StateDelta::merge([mk(10), mk(-3), mk(5)]).unwrap();
         assert_eq!(
-            merged.contracts[&c].int_deltas[&("balances".into(), vec![key(1)])].delta,
+            merged.contracts[&c].int_deltas[&("balances".into(), vec![key(1)].into())].delta,
             12
         );
     }
@@ -464,7 +465,7 @@ mod tests {
                 .entry(c)
                 .or_default()
                 .overwrites
-                .insert(("owners".into(), vec![key(1)]), Some(Value::Uint(128, v)));
+                .insert(("owners".into(), vec![key(1)].into()), Some(Value::Uint(128, v)));
             sd
         };
         let err = StateDelta::merge([mk(1), mk(2)]).unwrap_err();
@@ -475,15 +476,15 @@ mod tests {
     fn merge_is_order_independent() {
         let c = addr(100);
         let mut d1 = StateDelta::new();
-        d1.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![]), int_delta(4));
+        d1.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![].into()), int_delta(4));
         d1.balances.insert(addr(1), -7);
         let mut d2 = StateDelta::new();
-        d2.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![]), int_delta(-1));
+        d2.contracts.entry(c).or_default().int_deltas.insert(("x".into(), vec![].into()), int_delta(-1));
         d2.contracts
             .entry(c)
             .or_default()
             .overwrites
-            .insert(("y".into(), vec![key(2)]), None);
+            .insert(("y".into(), vec![key(2)].into()), None);
         d2.balances.insert(addr(1), 3);
 
         let ab = StateDelta::merge([d1.clone(), d2.clone()]).unwrap();
@@ -503,12 +504,12 @@ mod tests {
             .entry(c)
             .or_default()
             .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-30));
+            .insert(("balances".into(), vec![key(1)].into()), int_delta(-30));
         sd.contracts
             .entry(c)
             .or_default()
             .int_deltas
-            .insert(("balances".into(), vec![key(2)]), int_delta(30));
+            .insert(("balances".into(), vec![key(2)].into()), int_delta(30));
         sd.apply(&mut state).unwrap();
 
         let storage = &state.storage[&c];
@@ -526,7 +527,7 @@ mod tests {
             .entry(c)
             .or_default()
             .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-5));
+            .insert(("balances".into(), vec![key(1)].into()), int_delta(-5));
         assert!(matches!(sd.apply(&mut state), Err(MergeError::DeltaOutOfRange { .. })));
     }
 
@@ -538,7 +539,7 @@ mod tests {
         storage.store("counter", Value::Uint(32, u32::MAX as u128 - 1));
         let mut sd = StateDelta::new();
         sd.contracts.entry(c).or_default().int_deltas.insert(
-            ("counter".into(), vec![]),
+            ("counter".into(), vec![].into()),
             IntDelta { delta: 5, width: 32, signed: false },
         );
         assert!(matches!(sd.apply(&mut state), Err(MergeError::DeltaOutOfRange { .. })));
@@ -568,17 +569,17 @@ mod tests {
             .entry(c)
             .or_default()
             .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(-42));
+            .insert(("balances".into(), vec![key(1)].into()), int_delta(-42));
         sd.contracts
             .entry(c)
             .or_default()
             .overwrites
-            .insert(("owners".into(), vec![key(2)]), Some(Value::Str("x".into())));
+            .insert(("owners".into(), vec![key(2)].into()), Some(Value::Str("x".into())));
         sd.contracts
             .entry(c)
             .or_default()
             .overwrites
-            .insert(("owners".into(), vec![key(3)]), None);
+            .insert(("owners".into(), vec![key(3)].into()), None);
         sd.balances.insert(addr(1), -3);
         let back = StateDelta::from_wire(&sd.to_wire()).unwrap();
         // Nonce commits are carried in MicroBlock headers, not the wire
@@ -603,12 +604,12 @@ mod tests {
             .entry(c)
             .or_default()
             .int_deltas
-            .insert(("balances".into(), vec![key(1)]), int_delta(5));
+            .insert(("balances".into(), vec![key(1)].into()), int_delta(5));
         sd.contracts
             .entry(c)
             .or_default()
             .overwrites
-            .insert(("owners".into(), vec![key(2)]), Some(Value::Str("x".into())));
+            .insert(("owners".into(), vec![key(2)].into()), Some(Value::Str("x".into())));
         sd.balances.insert(addr(1), -3);
         let wire = sd.to_wire();
         let parsed: serde_json::Value = serde_json::from_str(&wire).unwrap();

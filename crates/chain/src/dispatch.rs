@@ -5,7 +5,7 @@
 //! satisfying all of them; if none exists the transaction is routed to the
 //! DS committee, which processes leftovers sequentially after the shards.
 
-use crate::address::{fnv1a, Address};
+use crate::address::{fnv1a, Address, Fnv1a};
 use crate::network::ChainConfig;
 use crate::state::{DeployedContract, GlobalState};
 use crate::tx::{Transaction, TxKind};
@@ -18,6 +18,7 @@ use cosplit_analysis::effects::TransitionSummary;
 use cosplit_analysis::signature::Constraint;
 use scilla::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// Where a transaction is processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -96,7 +97,7 @@ impl DispatchReason {
     /// Every reason, in discriminant order (each `r` satisfies
     /// `ALL_REASONS[r as usize] == r` — the per-reason counter array and
     /// the drift test depend on it).
-    pub fn all() -> &'static [DispatchReason] {
+    pub const fn all() -> &'static [DispatchReason] {
         &ALL_REASONS
     }
 }
@@ -165,22 +166,21 @@ pub struct Decision {
 ///   constraint and with gas accounting (§4.2.2);
 /// * whole fields are placed by field name.
 pub fn component_shard(contract: Address, field: &str, keys: &[Value], num_shards: u32) -> u32 {
+    // The hash input is the contract bytes, then the field name or a `0`
+    // separator and the key's `Display` form, streamed without allocating.
+    let mut h = Fnv1a::new();
+    h.write(&contract.0);
     match keys.first() {
-        None => {
-            let mut bytes = contract.0.to_vec();
-            bytes.extend_from_slice(field.as_bytes());
-            (fnv1a(&bytes) % num_shards as u64) as u32
-        }
+        None => h.write(field.as_bytes()),
         Some(k) => {
             if let Some(addr) = k.as_address() {
                 return Address(addr).home_shard(num_shards);
             }
-            let mut bytes = contract.0.to_vec();
-            bytes.push(0);
-            bytes.extend_from_slice(k.to_string().as_bytes());
-            (fnv1a(&bytes) % num_shards as u64) as u32
+            h.write(&[0]);
+            write!(h, "{k}").expect("hashing never fails");
         }
     }
+    (h.finish() % num_shards as u64) as u32
 }
 
 /// Dispatches one transaction (paper §4.3, "Assigning Transactions to
@@ -776,6 +776,77 @@ mod tests {
           balances[to] := nt
         end
     "#;
+
+    /// `component_shard` as it was before it streamed into the hash:
+    /// materialised bytes and a formatted key string.
+    fn component_shard_materialised(
+        contract: Address,
+        field: &str,
+        keys: &[Value],
+        num_shards: u32,
+    ) -> u32 {
+        match keys.first() {
+            None => {
+                let mut bytes = contract.0.to_vec();
+                bytes.extend_from_slice(field.as_bytes());
+                (fnv1a(&bytes) % num_shards as u64) as u32
+            }
+            Some(k) => {
+                if let Some(addr) = k.as_address() {
+                    return Address(addr).home_shard(num_shards);
+                }
+                let mut bytes = contract.0.to_vec();
+                bytes.push(0);
+                bytes.extend_from_slice(k.to_string().as_bytes());
+                (fnv1a(&bytes) % num_shards as u64) as u32
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_component_shard_matches_the_materialised_formula() {
+        let pair =
+            |a: Value, b: Value| Value::Adt { ctor: scilla::intern::Sym::PAIR, args: vec![a, b] };
+        let mut nested = BTreeMap::new();
+        nested.insert(Value::Str("k".into()), Value::Uint(128, 1));
+        let keys = [
+            Value::Str(String::new()),
+            Value::Str("QmHash-001".into()),
+            Value::Str("quote \" tab \t nl \n backslash \\ unicode é \u{1}".into()),
+            Value::Uint(32, 0),
+            Value::Uint(128, u128::MAX),
+            Value::Int(64, -42),
+            Value::BNum(7),
+            Value::ByStr(vec![0xab, 0x01].into()),
+            Value::ByStr(vec![9u8; 32].into()),
+            Value::address([3; 20]),
+            Value::bool(true),
+            Value::none(),
+            Value::some(Value::Str("x\"y".into())),
+            pair(Value::Uint(32, 5), Value::Str("z".into())),
+            Value::map_from(nested),
+        ];
+        for contract in [Address::from_index(1), Address::from_index(999)] {
+            for n in 1..=8 {
+                for field in ["balances", "registry", ""] {
+                    assert_eq!(
+                        component_shard(contract, field, &[], n),
+                        component_shard_materialised(contract, field, &[], n)
+                    );
+                }
+                for k in &keys {
+                    // A nested path places by its first key alone.
+                    for path in [vec![k.clone()], vec![k.clone(), Value::Uint(32, 1)]] {
+                        assert_eq!(
+                            component_shard(contract, "registry", &path, n),
+                            component_shard_materialised(contract, "registry", &path, n),
+                            "key {k} with {n} shards"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn setup(with_sig: bool) -> (GlobalState, Address) {
         let caddr = Address::from_index(999);

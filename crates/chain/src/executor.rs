@@ -552,11 +552,12 @@ impl<'a> Executor<'a> {
         if depth > 4 {
             return Err(ExecError::BadInvocation("message chain too deep".into()).into());
         }
-        let deployed = self
-            .snapshot
+        // Borrowed for the snapshot's lifetime, not `self`'s: no refcount
+        // traffic per call.
+        let snapshot = self.snapshot;
+        let deployed: &DeployedContract = snapshot
             .contracts
             .get(&contract)
-            .cloned()
             .ok_or_else(|| ExecError::BadInvocation(format!("no contract at {contract}")))?;
 
         self.ensure_storage(contract);
@@ -595,7 +596,7 @@ impl<'a> Executor<'a> {
             }
         };
         if let Some(fp) = footprint {
-            self.audit_invocation(&deployed, &fp, args, &ctx);
+            self.audit_invocation(deployed, &fp, args, &ctx);
             self.traced.push(TracedCall {
                 tx_id: self.current_tx,
                 contract,
@@ -778,7 +779,7 @@ impl<'a> Executor<'a> {
     /// includes earlier committed transactions, via the working state) must
     /// not exceed `⌊(MAX − v)/N⌋` of the epoch-start value `v`.
     fn overflow_violation(&self, journal: &TxJournal) -> Option<Component> {
-        for (addr, comp) in &journal.touched {
+        for (addr, comp, _) in &journal.undo {
             {
                 let Some(joins) = self.joins_of(addr) else { continue };
                 let Some(storage) = self.storages.get(addr) else { continue };
@@ -943,12 +944,12 @@ impl<'a> Executor<'a> {
             if storage.touched.is_empty() {
                 continue;
             }
-            let joins = self.joins_of(addr).cloned().unwrap_or_default();
+            let joins = self.joins_of(addr);
             let base = self.snapshot.storage.get(addr);
             let mut cd = ContractDelta::default();
             for comp in &storage.touched {
                 let final_v = read_component(&storage.state, comp);
-                let merge = joins.get(comp.0.as_str()) == Some(&Join::IntMerge);
+                let merge = joins.and_then(|j| j.get(comp.0.as_str())) == Some(&Join::IntMerge);
                 let delta = match (&final_v, merge) {
                     (Some(v), true) => {
                         let initial = base.and_then(|s| read_component(s.as_ref(), comp));
@@ -986,19 +987,19 @@ impl<'a> Executor<'a> {
 }
 
 /// The undo log shared by all invocations of one transaction (chained calls
-/// roll back together — transitions are atomic, paper §3.1).
+/// roll back together — transitions are atomic, paper §3.1). Its entries are
+/// also the components the transaction wrote.
 #[derive(Default)]
 struct TxJournal {
     /// (contract, component, prior value) in write order.
     undo: Vec<(Address, Component, Option<Value>)>,
-    /// Components written by this transaction.
-    touched: Vec<(Address, Component)>,
 }
 
 impl TxJournal {
-    /// Folds a committed transaction's touched components into the storages.
+    /// Folds a committed transaction's written components into the
+    /// storages' touched sets.
     fn commit(self, storages: &mut BTreeMap<Address, ShardStorage>) {
-        for (addr, comp) in self.touched {
+        for (addr, comp, _) in self.undo {
             if let Some(s) = storages.get_mut(&addr) {
                 s.touched.insert(comp);
             }
@@ -1014,8 +1015,8 @@ impl TxJournal {
     }
 }
 
-/// A [`StateStore`] view that records undo information and touched
-/// components into the transaction journal.
+/// A [`StateStore`] view that records each write's component and prior
+/// value into the transaction journal.
 struct JournaledStore<'a, 'j> {
     contract: Address,
     inner: &'a mut CowState,
@@ -1024,13 +1025,14 @@ struct JournaledStore<'a, 'j> {
 
 impl JournaledStore<'_, '_> {
     fn record(&mut self, field: Sym, keys: &[Value]) {
-        // The field side of the component is a `Copy` symbol; only the key
-        // path is owned. (Writes used to clone the field string per call —
-        // `chain.state.hot_clones` counts any remaining owned-name copies.)
-        let comp: Component = (field, keys.to_vec());
+        // The field side of the component is a `Copy` symbol; the key path
+        // is allocated here once and shared by every later holder (the
+        // shard's touched set, its delta, the merged delta). (Writes used
+        // to clone the field string per call — `chain.state.hot_clones`
+        // counts any remaining owned-name copies.)
+        let comp: Component = (field, keys.into());
         let prior = read_component(self.inner, &comp);
-        self.journal.undo.push((self.contract, comp.clone(), prior));
-        self.journal.touched.push((self.contract, comp));
+        self.journal.undo.push((self.contract, comp, prior));
     }
 }
 

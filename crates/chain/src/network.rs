@@ -3,7 +3,7 @@
 
 use crate::address::Address;
 use crate::delta::StateDelta;
-use crate::dispatch::{dispatch, xshard_plan_with, Assignment};
+use crate::dispatch::{dispatch, xshard_plan_with, Assignment, DispatchReason};
 use crate::error::{DeployError, MergeError};
 use crate::executor::{execute_batch, ExecutorConfig, MicroBlock, Receipt, TxStatus};
 use crate::state::{DeployedContract, GlobalState};
@@ -395,6 +395,9 @@ impl Network {
             ..Default::default()
         };
         let mut held_back: Vec<Transaction> = Vec::new();
+        // Tallied by discriminant in the loop; the report's by-name map is
+        // built once below.
+        let mut reasons = [0usize; DispatchReason::all().len()];
         {
             let _span = telemetry::span!("chain.network.phase.dispatch");
             for tx in pool.drain(..) {
@@ -413,8 +416,7 @@ impl Network {
                     held_back.push(tx);
                     continue;
                 }
-                *packets.dispatch_reasons.entry(decision.reason.name().to_string()).or_insert(0) +=
-                    1;
+                reasons[decision.reason as usize] += 1;
                 telemetry::trace::instant_with(telemetry::names::TX_DISPATCH, |a| {
                     a.push(("tx", tx.id.to_string()));
                     a.push(("reason", decision.reason.name().to_string()));
@@ -427,6 +429,12 @@ impl Network {
                 packet.push(tx);
             }
         }
+        packets.dispatch_reasons = DispatchReason::all()
+            .iter()
+            .zip(reasons)
+            .filter(|(_, n)| *n > 0)
+            .map(|(r, n)| (r.name().to_string(), n))
+            .collect();
         telemetry::counter!("chain.network.held_back").add(held_back.len() as u64);
         pool.extend(held_back);
         packets

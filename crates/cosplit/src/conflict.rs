@@ -747,7 +747,7 @@ end
     }
 
     fn addr(n: u8) -> Value {
-        Value::ByStr(vec![n; 20])
+        Value::address([n; 20])
     }
 
     fn bind<'a>(pairs: &'a [(&'a str, Value)]) -> impl Fn(&str) -> Option<Value> + 'a {

@@ -20,7 +20,7 @@ fn span(line: u32) -> Span {
 }
 
 fn addr(n: u8) -> Value {
-    Value::ByStr(vec![n; 20])
+    Value::address([n; 20])
 }
 
 /// `balances[who] := builtin add (old) (amount)` in the abstract domain.

@@ -88,7 +88,7 @@ fn summaries(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<TransitionS
 fn binding(salt: u64) -> impl Fn(&str) -> Option<Value> {
     move |p: &str| match p {
         "k" => Some(Value::Str(format!("key-{salt}"))),
-        "who" => Some(Value::ByStr(vec![salt as u8; 20])),
+        "who" => Some(Value::address([salt as u8; 20])),
         "amt" => Some(Value::Uint(128, salt as u128)),
         _ => None,
     }

@@ -201,9 +201,7 @@ pub fn eval_builtin(op: &str, args: &[Value]) -> Result<Value, ExecError> {
         }
         ("concat", [Value::Str(a), Value::Str(b)]) => Ok(Value::Str(format!("{a}{b}"))),
         ("concat", [Value::ByStr(a), Value::ByStr(b)]) => {
-            let mut out = a.clone();
-            out.extend_from_slice(b);
-            Ok(Value::ByStr(out))
+            Ok(Value::ByStr([&a[..], &b[..]].concat().into()))
         }
         ("strlen", [Value::Str(s)]) => Ok(Value::Uint(32, s.len() as u128)),
         ("substr", [Value::Str(s), Value::Uint(_, start), Value::Uint(_, len)]) => {
@@ -234,7 +232,7 @@ pub fn eval_builtin(op: &str, args: &[Value]) -> Result<Value, ExecError> {
             n.map(|n| Value::Uint(256, n))
                 .ok_or_else(|| ExecError::Arith(format!("to_uint256 failed on {v}")))
         }
-        ("sha256hash" | "keccak256hash", [v]) => Ok(Value::ByStr(digest32(v))),
+        ("sha256hash" | "keccak256hash", [v]) => Ok(Value::ByStr(digest32(v).into())),
         ("schnorr_verify", [Value::ByStr(_), _, Value::ByStr(_)]) => {
             // Signature verification stand-in: structurally well-formed
             // signatures verify. See DESIGN.md substitutions.

@@ -429,7 +429,7 @@ fn literal_value(lit: &Literal) -> Value {
         Literal::Int(w, v) => Value::Int(*w, *v),
         Literal::Uint(w, v) => Value::Uint(*w, *v),
         Literal::Str(s) => Value::Str(s.clone()),
-        Literal::ByStr(bs) => Value::ByStr(bs.clone()),
+        Literal::ByStr(bs) => Value::ByStr(bs.as_slice().into()),
         Literal::BNum(n) => Value::BNum(*n),
         Literal::EmpMap(..) => empty_map(),
     }

@@ -5,8 +5,20 @@
 //! sources), yet the hot path used to compare and clone `String`s for every
 //! load, store, and constructor application. A [`Sym`] is a `Copy` handle
 //! into a process-wide append-only table: equality and hashing are integer
-//! ops, `as_str` is a lock-free-read away, and nothing is ever freed (the
-//! vocabulary is bounded by the deployed code, not the workload).
+//! ops, and nothing is ever freed (the vocabulary is bounded by the deployed
+//! code, not the workload).
+//!
+//! # Concurrency
+//!
+//! [`Sym::as_str`] takes no lock and keeps no per-thread state (shard
+//! threads are spawned afresh every epoch, so a per-thread cache would start
+//! cold each time). The text table is a fixed array of chunks that double
+//! in size; a chunk is allocated once, published through a [`OnceLock`],
+//! and never moves, and each slot is itself a `OnceLock` written exactly
+//! once. A read is therefore three acquire loads (table, chunk, slot).
+//! Writers serialise in [`intern`] on the reverse map's lock, so ids are
+//! dense, assigned in interning order, and stable for the life of the
+//! process.
 //!
 //! # Ordering caveat
 //!
@@ -22,16 +34,44 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
+/// Slots in the first chunk, as a power of two. Chunk `k` holds
+/// `FIRST << k` slots, for ids `FIRST·(2^k − 1) .. FIRST·(2^(k+1) − 1)`.
+const FIRST_BITS: u32 = 6;
+const FIRST: u64 = 1 << FIRST_BITS;
+/// Enough doubling chunks to address every `u32` id.
+const CHUNKS: usize = 27;
+
+/// One chunk of resolved text: written once per slot, never moved.
+type Chunk = Box<[OnceLock<&'static str>]>;
+
 /// An interned string: a `Copy` integer handle with O(1) equality/hash.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(u32);
 
 struct Interner {
-    /// Resolved text by id. Strings are leaked, so resolving hands out
-    /// `&'static str` without holding the lock.
-    strs: RwLock<Vec<&'static str>>,
-    /// Reverse map used by [`intern`].
+    /// Resolved text by id, in doubling chunks (see [`slot_of`]). Strings
+    /// are leaked, so resolving hands out `&'static str`.
+    chunks: [OnceLock<Chunk>; CHUNKS],
+    /// Reverse map used by [`intern`]; its write lock serialises writers.
+    /// Holds exactly one entry per id, so its length is the next id.
     ids: RwLock<HashMap<&'static str, Sym>>,
+}
+
+/// The (chunk, slot) an id lives at.
+fn slot_of(id: u32) -> (usize, usize) {
+    let i = id as u64 + FIRST;
+    let k = 63 - i.leading_zeros() - FIRST_BITS;
+    (k as usize, (i - (FIRST << k)) as usize)
+}
+
+impl Interner {
+    /// Publishes the text of a fresh id. Callers hold the `ids` write lock.
+    fn publish(&self, sym: Sym, text: &'static str) {
+        let (k, slot) = slot_of(sym.0);
+        let chunk = self.chunks[k]
+            .get_or_init(|| (0..FIRST << k).map(|_| OnceLock::new()).collect());
+        chunk[slot].set(text).expect("ids are assigned once");
+    }
 }
 
 /// Symbols interned at table construction, in fixed order, so their ids are
@@ -89,10 +129,20 @@ impl Sym {
     /// `_exception`.
     pub const EXCEPTION: Sym = Sym(15);
 
-    /// The interned text. The return borrows the process-wide table (leaked
-    /// storage), not any lock guard.
+    /// The interned text. Lock-free: see the module's concurrency notes.
     pub fn as_str(self) -> &'static str {
-        table().strs.read().unwrap()[self.0 as usize]
+        let (k, slot) = slot_of(self.0);
+        let table = table();
+        loop {
+            if let Some(text) = table.chunks[k].get().and_then(|c| c[slot].get()) {
+                return text;
+            }
+            // Unreachable when the id reached this thread through any
+            // synchronisation (thread spawn, channel, lock): `intern`
+            // publishes the slot before the id escapes. An id passed by a
+            // relaxed atomic may outrun the slot; it becomes visible shortly.
+            std::hint::spin_loop();
+        }
     }
 
     /// The raw table index (diagnostics only — see the ordering caveat).
@@ -114,12 +164,14 @@ impl Sym {
 fn table() -> &'static Interner {
     static TABLE: OnceLock<Interner> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let t = Interner { strs: RwLock::new(Vec::new()), ids: RwLock::new(HashMap::new()) };
+        let t = Interner {
+            chunks: [const { OnceLock::new() }; CHUNKS],
+            ids: RwLock::new(HashMap::new()),
+        };
         {
-            let mut strs = t.strs.write().unwrap();
             let mut ids = t.ids.write().unwrap();
             for (i, s) in WELL_KNOWN.iter().enumerate() {
-                strs.push(s);
+                t.publish(Sym(i as u32), s);
                 ids.insert(*s, Sym(i as u32));
             }
         }
@@ -139,10 +191,10 @@ pub fn intern(s: &str) -> Sym {
     if let Some(sym) = ids.get(s) {
         return *sym;
     }
-    let mut strs = t.strs.write().unwrap();
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    let sym = Sym(strs.len() as u32);
-    strs.push(leaked);
+    let sym = Sym(u32::try_from(ids.len()).expect("symbol table full"));
+    // Publish the text before the id can escape through `ids` or the return.
+    t.publish(sym, leaked);
     ids.insert(leaked, sym);
     sym
 }
@@ -255,6 +307,75 @@ mod tests {
         assert_eq!(a.cmp_str(z), std::cmp::Ordering::Less);
         assert_eq!(z.cmp_str(a), std::cmp::Ordering::Greater);
         assert_eq!(a.cmp_str(a), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn slots_tile_the_id_space() {
+        assert_eq!(slot_of(0), (0, 0));
+        assert_eq!(slot_of(FIRST as u32 - 1), (0, FIRST as usize - 1));
+        assert_eq!(slot_of(FIRST as u32), (1, 0));
+        assert_eq!(slot_of(3 * FIRST as u32 - 1), (1, 2 * FIRST as usize - 1));
+        assert_eq!(slot_of(3 * FIRST as u32), (2, 0));
+        assert_eq!(slot_of(u32::MAX).0, CHUNKS - 1);
+    }
+
+    /// Writers intern fresh names, growing the table across chunk
+    /// boundaries, while readers resolve ids minted before and during the
+    /// run: every id resolves to exactly its text.
+    #[test]
+    fn concurrent_intern_and_resolve_agree() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let seeded: Vec<(Sym, String)> = (0..64)
+            .map(|i| {
+                let s = format!("concurrency_probe_seed_{i}");
+                (intern(&s), s)
+            })
+            .collect();
+        let seeded = Arc::new(seeded);
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (seeded, stop) = (Arc::clone(&seeded), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut reads = 0u64;
+                    while !stop.load(Ordering::Relaxed) || reads == 0 {
+                        for (sym, text) in seeded.iter() {
+                            assert_eq!(sym.as_str(), text);
+                            reads += 1;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                std::thread::spawn(move || {
+                    (0..500)
+                        .map(|i| {
+                            let s = format!("concurrency_probe_w{w}_{i}");
+                            let sym = intern(&s);
+                            assert_eq!(sym.as_str(), s);
+                            (sym, s)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let minted: Vec<(Sym, String)> =
+            writers.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        for (sym, text) in &minted {
+            assert_eq!(sym.as_str(), text);
+            assert_eq!(intern(text), *sym);
+        }
+        let mut ids: Vec<u32> = minted.iter().map(|(s, _)| s.id()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), minted.len(), "distinct names got distinct ids");
     }
 
     #[test]

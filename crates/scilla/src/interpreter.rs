@@ -16,7 +16,7 @@ use crate::trace::EffectTracer;
 use crate::typechecker::CheckedModule;
 use crate::value::{Closure, Env, TypeClosure, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Blockchain-supplied context for a single transition invocation.
 #[derive(Debug, Clone)]
@@ -98,7 +98,9 @@ pub enum ExecMode {
 pub struct CompiledContract {
     checked: CheckedModule,
     lib_env: Env,
-    code_cache: Arc<std::sync::RwLock<BTreeMap<Sym, Arc<crate::compile::TransitionCode>>>>,
+    /// Lowered code by transition position: once lowered, reading it takes
+    /// no lock and touches no refcount.
+    code_cache: Arc<[OnceLock<crate::compile::TransitionCode>]>,
 }
 
 impl CompiledContract {
@@ -118,7 +120,9 @@ impl CompiledContract {
                 env = env.bind(name.sym, v);
             }
         }
-        Ok(CompiledContract { checked, lib_env: env, code_cache: Arc::default() })
+        let code_cache =
+            checked.module.contract.transitions.iter().map(|_| OnceLock::new()).collect();
+        Ok(CompiledContract { checked, lib_env: env, code_cache })
     }
 
     /// The underlying checked module.
@@ -126,21 +130,23 @@ impl CompiledContract {
         &self.checked
     }
 
-    /// The lowered code for one transition, compiling (once) on first use.
-    fn code_for(&self, t: &Transition) -> Arc<crate::compile::TransitionCode> {
-        if let Some(c) = self.code_cache.read().unwrap().get(&t.name.sym) {
-            return Arc::clone(c);
-        }
-        let code = Arc::new(crate::compile::compile_transition(self.contract(), &self.lib_env, t));
-        let mut cache = self.code_cache.write().unwrap();
-        Arc::clone(cache.entry(t.name.sym).or_insert(code))
+    /// The lowered code for the transition at position `i`, compiling
+    /// (once) on first use.
+    fn code_for(&self, i: usize) -> &crate::compile::TransitionCode {
+        self.code_cache[i].get_or_init(|| {
+            crate::compile::compile_transition(
+                self.contract(),
+                &self.lib_env,
+                &self.contract().transitions[i],
+            )
+        })
     }
 
     /// Lowers every transition now (deploy-time warm-up) instead of on first
     /// call, so the first transaction of an epoch pays no compile cost.
     pub fn precompile(&self) {
-        for t in &self.contract().transitions {
-            self.code_for(t);
+        for i in 0..self.code_cache.len() {
+            self.code_for(i);
         }
     }
 
@@ -316,13 +322,18 @@ impl CompiledContract {
         tracer: Option<&mut EffectTracer>,
         mode: ExecMode,
     ) -> Result<TransitionOutcome, ExecError> {
-        let t = self
+        // A text compare over the handful of transitions: no interning (a
+        // table lock and a hash) per call.
+        let (i, t) = self
             .contract()
-            .transition(transition)
+            .transitions
+            .iter()
+            .enumerate()
+            .find(|(_, t)| t.name.name == transition)
             .ok_or_else(|| ExecError::BadInvocation(format!("unknown transition '{transition}'")))?;
         gas.charge(gas::COST_TX_BASE)?;
         if mode != ExecMode::Ast {
-            if let crate::compile::TransitionCode::Compiled(ct) = &*self.code_for(t) {
+            if let crate::compile::TransitionCode::Compiled(ct) = self.code_for(i) {
                 return crate::compile::run_compiled(ct, store, args, contract_params, ctx, gas, tracer);
             }
             if mode == ExecMode::Compiled {
@@ -525,7 +536,7 @@ fn literal_value(lit: &Literal) -> Value {
         Literal::Int(w, v) => Value::Int(*w, *v),
         Literal::Uint(w, v) => Value::Uint(*w, *v),
         Literal::Str(s) => Value::Str(s.clone()),
-        Literal::ByStr(bs) => Value::ByStr(bs.clone()),
+        Literal::ByStr(bs) => Value::ByStr(bs.as_slice().into()),
         Literal::BNum(n) => Value::BNum(*n),
         Literal::EmpMap(..) => empty_map(),
     }

@@ -115,6 +115,18 @@ pub fn descend<'v>(mut value: &'v Value, keys: &[Value]) -> Option<&'v Value> {
     Some(value)
 }
 
+/// [`descend`] for in-place mutation: shared map nodes along the path are
+/// copied first (copy-on-write), exactly as [`insert_at`] copies them.
+fn descend_mut<'v>(mut value: &'v mut Value, keys: &[Value]) -> Option<&'v mut Value> {
+    for k in keys {
+        match value {
+            Value::Map(m) => value = map_make_mut(m).get_mut(k)?,
+            _ => return None,
+        }
+    }
+    Some(value)
+}
+
 /// Inserts `new` at the nested key path inside `root`, creating intermediate
 /// maps as needed. `root` must be a map if `keys` is non-empty. Shared map
 /// nodes along the path are copied (copy-on-write); untouched siblings stay
@@ -186,6 +198,32 @@ impl InMemoryState {
     /// into a previously-nonexistent field.
     pub fn remove_field(&mut self, field: &str) {
         self.fields.remove(field);
+    }
+
+    /// Read-modify-write of one component (a whole field when `keys` is
+    /// empty) in a single walk when it exists: `f` maps the current value
+    /// (`None` if absent) to its replacement, or to `None` to leave the
+    /// value as it is. Returns whether `f` produced a replacement. The
+    /// result equals reading with [`StateStore::map_get_sym`] and writing
+    /// with [`StateStore::store_sym`] / [`StateStore::map_update_sym`].
+    pub fn update_sym(
+        &mut self,
+        field: Sym,
+        keys: &[Value],
+        f: impl FnOnce(Option<&Value>) -> Option<Value>,
+    ) -> bool {
+        if let Some(slot) = self.fields.get_mut(field.as_str()).and_then(|r| descend_mut(r, keys)) {
+            let Some(new) = f(Some(slot)) else { return false };
+            *slot = new;
+            return true;
+        }
+        let Some(new) = f(None) else { return false };
+        if keys.is_empty() {
+            self.store_sym(field, new);
+        } else {
+            self.map_update_sym(field, keys, new);
+        }
+        true
     }
 }
 

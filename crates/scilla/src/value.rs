@@ -5,7 +5,101 @@ use crate::intern::Sym;
 use crate::types::Type;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// The byte length Scilla addresses (`ByStr20`) have.
+const ADDRESS_LEN: usize = 20;
+
+/// A Scilla byte string.
+///
+/// Addresses key almost every contract map (`balances[_sender]`), so a
+/// 20-byte string is stored inline: building, cloning and comparing one
+/// never touches the heap. Every other length is boxed. The representation
+/// is invisible: equality, ordering and printing all go through the byte
+/// slice ([`Deref`]), so map order, the wire form and digests are exactly
+/// those of the plain byte vector.
+#[derive(Clone)]
+pub struct ByteStr(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// Invariant: every 20-byte string is stored this way.
+    Address([u8; ADDRESS_LEN]),
+    Boxed(Box<[u8]>),
+}
+
+impl ByteStr {
+    /// The bytes of an address (a 20-byte string), borrowed from the inline
+    /// storage; `None` for any other length.
+    pub fn address(&self) -> Option<&[u8; ADDRESS_LEN]> {
+        match &self.0 {
+            Repr::Address(a) => Some(a),
+            Repr::Boxed(_) => None,
+        }
+    }
+}
+
+impl Deref for ByteStr {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Address(a) => a,
+            Repr::Boxed(b) => b,
+        }
+    }
+}
+
+impl From<[u8; ADDRESS_LEN]> for ByteStr {
+    fn from(a: [u8; ADDRESS_LEN]) -> ByteStr {
+        ByteStr(Repr::Address(a))
+    }
+}
+
+impl From<&[u8]> for ByteStr {
+    fn from(bytes: &[u8]) -> ByteStr {
+        match <[u8; ADDRESS_LEN]>::try_from(bytes) {
+            Ok(a) => ByteStr::from(a),
+            Err(_) => ByteStr(Repr::Boxed(bytes.into())),
+        }
+    }
+}
+
+impl From<Vec<u8>> for ByteStr {
+    fn from(bytes: Vec<u8>) -> ByteStr {
+        match <[u8; ADDRESS_LEN]>::try_from(bytes.as_slice()) {
+            Ok(a) => ByteStr::from(a),
+            Err(_) => ByteStr(Repr::Boxed(bytes.into_boxed_slice())),
+        }
+    }
+}
+
+impl PartialEq for ByteStr {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ByteStr {}
+
+impl PartialOrd for ByteStr {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ByteStr {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl fmt::Debug for ByteStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A closure: a function literal together with its captured environment.
 #[derive(Debug, Clone)]
@@ -45,8 +139,8 @@ pub enum Value {
     Uint(u32, u128),
     /// String.
     Str(String),
-    /// Byte string (address when 20 bytes long).
-    ByStr(Vec<u8>),
+    /// Byte string (address when 20 bytes long, then stored inline).
+    ByStr(ByteStr),
     /// Block number.
     BNum(u64),
     /// A (possibly nested) map. The entry tree is `Arc`-shared: cloning a
@@ -123,18 +217,14 @@ impl Value {
     /// Extracts the address bytes, if this is a 20-byte `ByStr`.
     pub fn as_address(&self) -> Option<[u8; 20]> {
         match self {
-            Value::ByStr(bs) if bs.len() == 20 => {
-                let mut a = [0u8; 20];
-                a.copy_from_slice(bs);
-                Some(a)
-            }
+            Value::ByStr(bs) => bs.address().copied(),
             _ => None,
         }
     }
 
     /// Builds a `ByStr20` value from address bytes.
     pub fn address(bytes: [u8; 20]) -> Value {
-        Value::ByStr(bytes.to_vec())
+        Value::ByStr(bytes.into())
     }
 
     /// A small integer tag used to order values of different shapes.
@@ -215,7 +305,7 @@ impl fmt::Display for Value {
             Value::Str(s) => write!(f, "{s:?}"),
             Value::ByStr(bs) => {
                 write!(f, "0x")?;
-                for b in bs {
+                for b in bs.iter() {
                     write!(f, "{b:02x}")?;
                 }
                 Ok(())
@@ -328,7 +418,7 @@ mod tests {
             Value::Int(32, -1),
             Value::Uint(128, 0),
             Value::Str("a".into()),
-            Value::ByStr(vec![1]),
+            Value::ByStr(vec![1].into()),
             Value::BNum(0),
             Value::bool(true),
         ];
@@ -353,7 +443,12 @@ mod tests {
     fn address_roundtrip() {
         let a = [7u8; 20];
         assert_eq!(Value::address(a).as_address(), Some(a));
-        assert_eq!(Value::ByStr(vec![1, 2]).as_address(), None);
+        assert_eq!(Value::ByStr(vec![1, 2].into()).as_address(), None);
+    }
+
+    #[test]
+    fn value_stays_four_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn from_json(j: &Json) -> Result<Value, String> {
         }
         let bytes: Result<Vec<u8>, _> =
             (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16)).collect();
-        return Ok(Value::ByStr(bytes.map_err(|e| e.to_string())?));
+        return Ok(Value::ByStr(bytes.map_err(|e| e.to_string())?.into()));
     }
     match t {
         "String" => Ok(Value::Str(get_v()?.as_str().ok_or("string payload")?.to_string())),
@@ -123,7 +123,7 @@ mod tests {
         roundtrip(&Value::Uint(128, u128::MAX));
         roundtrip(&Value::Int(64, -42));
         roundtrip(&Value::Str("héllo \"quoted\"".into()));
-        roundtrip(&Value::ByStr(vec![0xde, 0xad, 0x00]));
+        roundtrip(&Value::ByStr(vec![0xde, 0xad, 0x00].into()));
         roundtrip(&Value::BNum(123456));
     }
 

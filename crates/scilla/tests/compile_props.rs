@@ -27,7 +27,7 @@ fn sample_value(ty: &Type, seed: u64) -> Option<Value> {
         Type::Int(w) => Value::Int(*w, i128::from(seed % 1000) - 500),
         Type::Uint(w) => Value::Uint(*w, u128::from(seed % 1000)),
         Type::Str => Value::Str(format!("s{}", seed % 7)),
-        Type::ByStr(n) => Value::ByStr(vec![(seed % 251) as u8; *n as usize]),
+        Type::ByStr(n) => Value::ByStr(vec![(seed % 251) as u8; *n as usize].into()),
         Type::BNum => Value::BNum(seed % 50),
         Type::Map(..) => Value::empty_map(),
         Type::Adt(name, args) => match (name.as_str(), args.as_slice()) {
@@ -259,7 +259,7 @@ fn htlc_differential_scenario() {
     let mut state = InMemoryState::from_fields(contract.init_fields(&params).expect("init"));
 
     let preimage = Value::Str("secret".into());
-    let hash = Value::ByStr(scilla::builtins::digest32(&preimage));
+    let hash = Value::ByStr(scilla::builtins::digest32(&preimage).into());
     let ctx = |sender: u8, amount: u128| TransitionContext {
         sender: addr(sender),
         origin: addr(sender),

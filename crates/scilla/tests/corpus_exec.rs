@@ -63,7 +63,7 @@ fn htlc_lock_withdraw_refund_cycle() {
     let mut h = Harness::new("HTLC", vec![("init_fee_collector".into(), Value::address(addr(9)))]);
     // The contract hashes the preimage with the (deterministic) digest.
     let preimage = Value::Str("secret".into());
-    let hash = Value::ByStr(scilla::builtins::digest32(&preimage));
+    let hash = Value::ByStr(scilla::builtins::digest32(&preimage).into());
 
     h.call(addr(1), 500, "NewLock", &[("hash", hash.clone()), ("deadline", Value::BNum(10))])
         .expect("lock");
@@ -170,7 +170,7 @@ fn zeecash_shield_and_unshield() {
 
 #[test]
 fn auction_bids_must_increase() {
-    let node = Value::ByStr(vec![7u8; 32]);
+    let node = Value::ByStr(vec![7u8; 32].into());
     let mut h =
         Harness::new("AuctionRegistrar", vec![("registrar_owner".into(), Value::address(addr(9)))]);
     h.call(addr(9), 0, "StartAuction", &[("node", node.clone()), ("end_block", Value::BNum(100))])
@@ -186,7 +186,7 @@ fn auction_bids_must_increase() {
 fn cryptoman_commit_reveal() {
     let mut h = Harness::new("Cryptoman", vec![]);
     let secret = Value::Str("hunter2".into());
-    let commitment = Value::ByStr(scilla::builtins::digest32(&secret));
+    let commitment = Value::ByStr(scilla::builtins::digest32(&secret).into());
     h.call(addr(1), 0, "Commit", &[("commitment", commitment.clone())]).expect("commit");
     let err = h.call(addr(1), 0, "Reveal", &[("secret", Value::Str("wrong".into()))]).unwrap_err();
     assert!(matches!(err, ExecError::Thrown(m) if m.contains("WrongSecret")));
@@ -233,12 +233,12 @@ fn xsgd_blacklist_blocks_transfers() {
 
 #[test]
 fn ud_registry_full_domain_lifecycle() {
-    let node = Value::ByStr(vec![3u8; 32]);
+    let node = Value::ByStr(vec![3u8; 32].into());
     let mut h = Harness::new(
         "UD_registry",
         vec![
             ("initial_admin".into(), Value::address(addr(9))),
-            ("initial_root".into(), Value::ByStr(vec![0u8; 32])),
+            ("initial_root".into(), Value::ByStr(vec![0u8; 32].into())),
         ],
     );
     h.call(addr(9), 0, "Bestow", &[

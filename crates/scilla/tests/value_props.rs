@@ -13,7 +13,7 @@ fn value() -> impl Strategy<Value = Value> {
         (prop_oneof![Just(32u32), Just(64), Just(128)], any::<i64>())
             .prop_map(|(w, n)| Value::Int(w, n as i128)),
         "[ -~]{0,12}".prop_map(Value::Str),
-        prop::collection::vec(any::<u8>(), 0..24).prop_map(Value::ByStr),
+        prop::collection::vec(any::<u8>(), 0..24).prop_map(|b| Value::ByStr(b.into())),
         any::<u32>().prop_map(|n| Value::BNum(n as u64)),
         Just(Value::bool(true)),
         Just(Value::none()),
@@ -30,6 +30,17 @@ fn value() -> impl Strategy<Value = Value> {
                 }),
         ]
     })
+}
+
+/// Byte strings of 0–40 bytes, a fifth of them exactly address-sized.
+fn byte_string() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..=40),
+        prop::collection::vec(any::<u8>(), 20),
+        prop::collection::vec(0u8..2, 0..=40),
+        prop::collection::vec(0u8..2, 20),
+        prop::collection::vec(any::<u8>(), 0..=40),
+    ]
 }
 
 proptest! {
@@ -51,6 +62,33 @@ proptest! {
         if a <= b && b <= c {
             prop_assert!(a <= c);
         }
+    }
+
+    /// `ByteStr` stores addresses inline and boxes every other length; the
+    /// value must compare, print and wire-round-trip exactly like the byte
+    /// vector it was built from. `b` often shares a prefix with `a`, so
+    /// ordering is exercised across the inline/boxed boundary.
+    #[test]
+    fn byte_strings_behave_like_their_bytes(
+        a in byte_string(),
+        tail in byte_string(),
+        cut in 0usize..=40,
+    ) {
+        let b: Vec<u8> = a[..cut.min(a.len())].iter().chain(&tail).copied().take(40).collect();
+        let (va, vb) = (Value::ByStr(a.clone().into()), Value::ByStr(b.as_slice().into()));
+        prop_assert_eq!(va.cmp(&vb), a.cmp(&b));
+        prop_assert_eq!(va == vb, a == b);
+        let hex: String = a.iter().map(|x| format!("{x:02x}")).collect();
+        prop_assert_eq!(va.to_string(), format!("0x{hex}"));
+        let json = scilla::wire::to_json(&va);
+        let tag = format!("ByStr{}", a.len());
+        prop_assert_eq!(json["t"].as_str(), Some(tag.as_str()));
+        prop_assert_eq!(json["v"].as_str(), Some(hex.as_str()));
+        let back = scilla::wire::from_json(&json).expect("canonical form parses");
+        let Value::ByStr(bs) = &back else { panic!("decoded {back:?}") };
+        prop_assert_eq!(&bs[..], &a[..]);
+        prop_assert_eq!(bs.address().is_some(), a.len() == 20);
+        prop_assert_eq!(va.as_address().is_some(), a.len() == 20);
     }
 
     #[test]

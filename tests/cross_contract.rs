@@ -14,7 +14,7 @@ use scilla::value::Value;
 fn node(i: u64) -> Value {
     let mut bytes = [0u8; 32];
     bytes[..8].copy_from_slice(&i.to_be_bytes());
-    Value::ByStr(bytes.to_vec())
+    Value::ByStr(bytes[..].into())
 }
 
 #[test]

@@ -10,7 +10,7 @@ use cosplit::scilla;
 use scilla::value::Value;
 
 fn node_bytes(i: u8) -> Value {
-    Value::ByStr(vec![i; 32])
+    Value::ByStr(vec![i; 32].into())
 }
 
 #[test]

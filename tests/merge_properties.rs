@@ -3,9 +3,12 @@
 //! backbone of the paper's `⊎` join (§2.3).
 
 use cosplit::chain::address::Address;
-use cosplit::chain::delta::{IntDelta, StateDelta};
+use cosplit::chain::delta::{apply_int_delta, Component, IntDelta, StateDelta};
+use cosplit::chain::error::MergeError;
 use cosplit::chain::state::GlobalState;
-use cosplit::scilla::state::StateStore;
+use cosplit::scilla::builtins::uint_max;
+use cosplit::scilla::intern::intern;
+use cosplit::scilla::state::{InMemoryState, StateStore};
 use cosplit::scilla::value::Value;
 use proptest::prelude::*;
 
@@ -17,12 +20,12 @@ fn addr(i: u8) -> Address {
 /// per-shard-disjoint component ids to model ownership dispatch.
 fn delta(shard: usize) -> impl Strategy<Value = StateDelta> {
     let int_entry = (0u8..6, -50i128..50).prop_map(|(k, d)| {
-        (("counters".into(), vec![addr(k).to_value()]), IntDelta { delta: d, width: 128, signed: false })
+        (("counters".into(), vec![addr(k).to_value()].into()), IntDelta { delta: d, width: 128, signed: false })
     });
     let ow_entry = (0u8..6, 0u128..100).prop_map(move |(k, v)| {
         // Disjointness by construction: each shard owns its own key range.
         let key = Value::Str(format!("s{shard}-{k}"));
-        (("owners".into(), vec![key]), Some(Value::Uint(128, v)))
+        (("owners".into(), vec![key].into()), Some(Value::Uint(128, v)))
     });
     (
         prop::collection::vec(int_entry, 0..5),
@@ -118,7 +121,7 @@ proptest! {
         deltas in prop::collection::vec(-40i128..40, 1..6)
     ) {
         let contract = Address::from_index(42);
-        let comp = ("counters".into(), vec![addr(0).to_value()]);
+        let comp: Component = ("counters".into(), vec![addr(0).to_value()].into());
         let shards: Vec<StateDelta> = deltas
             .iter()
             .map(|d| {
@@ -226,6 +229,111 @@ proptest! {
     }
 }
 
+/// An integer of the component's kind, mostly at an edge of its range:
+/// `pick` selects 0, 1, −1 (2 if unsigned), MIN, MAX−1, MAX, or `raw`
+/// reduced into range.
+fn edge_int(signed: bool, width: u32, pick: u8, raw: u64) -> Value {
+    if signed {
+        let (min, max) = match width {
+            32 => (i32::MIN as i128, i32::MAX as i128),
+            64 => (i64::MIN as i128, i64::MAX as i128),
+            _ => (i128::MIN, i128::MAX),
+        };
+        let n = [0, 1, -1, min, max - 1, max, (raw as i64 as i128).clamp(min, max)][pick as usize];
+        Value::Int(width, n)
+    } else {
+        let max = uint_max(width);
+        let reduced = if max == u128::MAX { raw as u128 } else { raw as u128 % (max + 1) };
+        let n = [0, 1, 2, 0, max - 1, max, reduced][pick as usize];
+        Value::Uint(width, n)
+    }
+}
+
+/// The formulation the in-place apply replaced: read the component, compute
+/// its new value, write it back. `false` (and no write) when out of range.
+fn get_then_update(storage: &mut InMemoryState, comp: &Component, id: &IntDelta) -> bool {
+    let old = storage.map_get_sym(comp.0, &comp.1);
+    let Some(new) = apply_int_delta(old.as_ref(), id) else { return false };
+    if comp.1.is_empty() {
+        storage.store_sym(comp.0, new);
+    } else {
+        storage.map_update_sym(comp.0, &comp.1, new);
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `StateDelta::apply` updates an integer component in one walk; the
+    /// result must equal get-then-update for whole fields, flat and nested
+    /// entries, present and absent components (absent counts as 0), every
+    /// width and sign, and both in and out of range — where it must fail
+    /// with `DeltaOutOfRange` and leave the store as it was.
+    #[test]
+    fn in_place_int_apply_matches_get_then_update(
+        width in prop_oneof![Just(32u32), Just(64), Just(128)],
+        signed in any::<bool>(),
+        shape in 0u8..3,
+        k1 in 0u8..3,
+        k2 in 0u8..3,
+        whole_present in any::<bool>(),
+        base_pick in 0u8..7,
+        raw in any::<u64>(),
+        delta_pick in 0u8..6,
+        raw_delta in any::<i64>(),
+        other_kind in 0u8..8,
+    ) {
+        // Base: `counter` (whole field, maybe absent); `flat[0..2]`;
+        // `nested[0][0..2]`. Key 2 and `nested[1]` are absent.
+        let base_value = edge_int(signed, width, base_pick, raw);
+        // Occasionally store the other integer kind: never a valid operand.
+        let stored =
+            if other_kind == 0 { edge_int(!signed, width, base_pick, raw) } else { base_value };
+        let key = |i: u8| addr(i).to_value();
+        let mut base = InMemoryState::new();
+        if whole_present {
+            base.store("counter", stored.clone());
+        }
+        for i in 0..2 {
+            base.map_update("flat", &[key(i)], stored.clone());
+            base.map_update("nested", &[key(0), key(i)], stored.clone());
+        }
+        let comp: Component = match shape {
+            0 => (intern("counter"), Vec::new().into()),
+            1 => (intern("flat"), vec![key(k1)].into()),
+            _ => (intern("nested"), vec![key(k1), key(k2)].into()),
+        };
+        let delta = match delta_pick {
+            0 => 0,
+            1 => 1,
+            2 => -1,
+            3 => raw_delta as i128,
+            4 => (raw_delta as i128) << 64,
+            _ => if raw_delta < 0 { i128::MIN + 1 } else { i128::MAX },
+        };
+        let id = IntDelta { delta, width, signed };
+
+        let mut want = base.clone();
+        let in_range = get_then_update(&mut want, &comp, &id);
+
+        let contract = Address::from_index(42);
+        let mut state = GlobalState::new();
+        state.storage.insert(contract, std::sync::Arc::new(base.clone()));
+        let mut sd = StateDelta::new();
+        sd.contracts.entry(contract).or_default().int_deltas.insert(comp, id);
+        match sd.apply(&mut state) {
+            Ok(()) => prop_assert!(in_range, "applied a delta that is out of range"),
+            Err(MergeError::DeltaOutOfRange { .. }) => {
+                prop_assert!(!in_range, "rejected a delta that is in range");
+                prop_assert_eq!(&*state.storage[&contract], &base);
+            }
+            Err(e) => prop_assert!(false, "unexpected error {e:?}"),
+        }
+        prop_assert_eq!(&*state.storage[&contract], &want);
+    }
+}
+
 #[test]
 fn overlapping_overwrites_always_conflict() {
     let contract = Address::from_index(42);
@@ -235,7 +343,7 @@ fn overlapping_overwrites_always_conflict() {
             .entry(contract)
             .or_default()
             .overwrites
-            .insert(("owners".into(), vec![Value::Str("same".into())]), Some(Value::Uint(128, v)));
+            .insert(("owners".into(), vec![Value::Str("same".into())].into()), Some(Value::Uint(128, v)));
         sd
     };
     assert!(StateDelta::merge([mk(1), mk(1)]).is_err(), "even equal values conflict");
