@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|tracer|matrix|state|trace|xshard|callgraph|precision|hotpath|overflow|all] [--fast]
+//! paper [fig1|fig12|fig13|table52|fig14|overheads|strategies|ablation|tracer|state|trace|xshard|callgraph|precision|hotpath|overflow|all] [--fast]
 //! ```
 //!
 //! `--fast` shrinks the Fig. 14 grid (fewer epochs, smaller gas budgets) so
@@ -28,7 +28,6 @@ fn main() {
         "overflow" => overflow(),
         "ablation" => ablation_cmd(fast),
         "tracer" => tracer_cmd(fast),
-        "matrix" => matrix_cmd(),
         "state" => state_cmd(fast),
         "trace" => trace_cmd(fast),
         "xshard" => xshard_cmd(fast),
@@ -45,7 +44,6 @@ fn main() {
             strategies_cmd();
             ablation_cmd(fast);
             tracer_cmd(fast);
-            matrix_cmd();
             state_cmd(fast);
             trace_cmd(fast);
             xshard_cmd(fast);
@@ -56,7 +54,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | tracer | matrix | state | trace | xshard | callgraph | precision | hotpath | overflow | all");
+            eprintln!("expected: fig1 | fig12 | fig13 | table52 | fig14 | overheads | strategies | ablation | tracer | state | trace | xshard | callgraph | precision | hotpath | overflow | all");
             std::process::exit(2);
         }
     }
@@ -327,25 +325,6 @@ fn tracer_cmd(fast: bool) {
     println!(" invocation against the static summary. zero violations = sound summaries)");
 }
 
-fn matrix_cmd() {
-    heading("Pairwise commutativity — conflict-matrix density");
-    let rows: Vec<Vec<String>> = matrix_densities()
-        .iter()
-        .map(|r| {
-            vec![
-                r.name.to_string(),
-                r.transitions.to_string(),
-                format!("{:5.1}%", r.conflicting * 100.0),
-                format!("{:5.1}%", r.conditional * 100.0),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["contract", "transitions", "conflicting", "key-conditional"], &rows)
-    );
-}
-
 fn hotpath_cmd(fast: bool) {
     heading("Hot path — compiled transitions vs AST walker, hot-clone audit");
     let (users, txs, calls, reps) =
@@ -563,9 +542,14 @@ fn precision_cmd(fast: bool) {
         ],
         vec!["blame causes".to_string(), "—".to_string(), census.blames.to_string()],
         vec![
-            "mean conflict density (‰)".to_string(),
-            census.conflict_density_legacy_x1000.to_string(),
-            census.conflict_density_refined_x1000.to_string(),
+            "transitions identical to ⊤-free legacy".to_string(),
+            "—".to_string(),
+            format!("{} of {}", census.identical, census.transitions),
+        ],
+        vec![
+            "legacy ⊤ transitions de-⊤'d".to_string(),
+            "—".to_string(),
+            format!("{} of {}", census.de_topped, census.top_legacy),
         ],
     ];
     println!("{}", render_table(&["corpus measure", "legacy", "refined"], &rows));

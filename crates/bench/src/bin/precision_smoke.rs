@@ -7,7 +7,9 @@
 //!    strictly shrink the ⊤ population versus legacy, must explain every
 //!    surviving `⊤[field]` with at least one blame cause, and every blame
 //!    cause must survive a JSON wire round-trip (the corpus blame sweep —
-//!    `precision_census` panics on any drift).
+//!    `precision_census` panics on any drift). Per transition, a ⊤-free
+//!    legacy summary must come back unchanged from the refined analysis and
+//!    a legacy ⊤ must come back without ⊤.
 //! 2. **Dispatch gate** — the airdrop workload (whose `ClaimAirdrop` keys
 //!    state by `sha256hash proof`) must see a strictly smaller DS share
 //!    under the refined default than under legacy, while the FT-transfer
@@ -67,7 +69,10 @@ fn main() {
         eprintln!("precision-smoke: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("precision-smoke: no global ⊤, every loss blamed, sharded airdrop divergence-free");
+    println!(
+        "precision-smoke: no global ⊤, per-transition census holds, every loss blamed, \
+         sharded airdrop divergence-free"
+    );
 }
 
 /// Corpus-wide precision invariants (the wire round-trip sweep happens
@@ -83,8 +88,11 @@ fn census_gate() -> u32 {
         census.blames
     );
     println!(
-        "  conflict density: {}‰ legacy → {}‰ refined",
-        census.conflict_density_legacy_x1000, census.conflict_density_refined_x1000
+        "  per transition: {} analysed — {} identical to ⊤-free legacy, {} de-⊤'d, {} exceptions",
+        census.transitions,
+        census.identical,
+        census.de_topped,
+        census.exceptions.len()
     );
     let mut failures = 0u32;
     if census.contracts < 49 {
@@ -109,8 +117,8 @@ fn census_gate() -> u32 {
         );
         failures += 1;
     }
-    if census.conflict_density_refined_x1000 > census.conflict_density_legacy_x1000 {
-        eprintln!("FAIL census: localizing ⊤ thickened the conflict matrix");
+    for e in &census.exceptions {
+        eprintln!("FAIL census: {e}");
         failures += 1;
     }
     failures

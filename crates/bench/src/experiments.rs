@@ -500,45 +500,6 @@ pub fn tracer_overhead(kind_idx: usize, users: u64, txs: usize, epochs: usize) -
     }
 }
 
-// -------------------------------------------------------- conflict matrix
-
-/// Density statistics of one contract's transition-commutativity matrix.
-#[derive(Debug, Clone)]
-pub struct MatrixDensityRow {
-    /// Corpus contract name.
-    pub name: &'static str,
-    /// Matrix dimension (number of transitions).
-    pub transitions: usize,
-    /// Fraction of pairs that conflict unconditionally.
-    pub conflicting: f64,
-    /// Fraction of pairs that commute only under key-disjoint bindings.
-    pub conditional: f64,
-}
-
-/// Builds the conflict matrix for each §5.2 evaluation contract and reports
-/// its densities. Also records them as gauges (`x1000`) so the metrics
-/// snapshot captures the numbers.
-pub fn matrix_densities() -> Vec<MatrixDensityRow> {
-    use cosplit_analysis::conflict::ConflictMatrix;
-    ["FungibleToken", "Crowdfunding", "NonfungibleToken", "ProofIPFS", "UD_registry"]
-        .into_iter()
-        .map(|name| {
-            let analyzed = AnalyzedContract::analyze(&check_contract(name));
-            let m = ConflictMatrix::build(name, &analyzed.summaries);
-            let row = MatrixDensityRow {
-                name,
-                transitions: m.len(),
-                conflicting: m.conflict_density(),
-                conditional: m.conditional_density(),
-            };
-            telemetry::registry()
-                .gauge(&format!("bench.matrix.conflict_density_x1000.{name}"))
-                .set((row.conflicting * 1000.0) as i64);
-            row
-        })
-        .collect()
-}
-
 // ------------------------------------------------------- state scaling
 
 /// One row of the CoW-state scaling sweep: a fixed transfer packet executed
@@ -1328,11 +1289,14 @@ pub fn callgraph_rows(users: u64, txs: usize, epochs: usize) -> Vec<CallGraphRow
 // ------------------------------------------------- Precision frontier
 
 /// The corpus-wide precision census: how much imprecision each analysis
-/// mode reports over the 49-contract mainnet sample (`paper -- precision`).
+/// mode reports over the 49-contract mainnet sample (`paper -- precision`),
+/// plus the per-transition frontier between the two modes.
 #[derive(Debug, Clone)]
 pub struct PrecisionCensus {
     /// Contracts analysed.
     pub contracts: usize,
+    /// Transitions analysed.
+    pub transitions: usize,
     /// Transitions whose *legacy* summary collapsed to global ⊤.
     pub top_legacy: usize,
     /// Transitions whose *refined* summary is global ⊤ (invariant: 0).
@@ -1342,11 +1306,15 @@ pub struct PrecisionCensus {
     pub top_field_refined: usize,
     /// Blame causes recorded by the refined analysis, corpus-wide.
     pub blames: usize,
-    /// Mean conflict-matrix density (conflicting pairs / all pairs) under
-    /// the legacy summaries, ×1000.
-    pub conflict_density_legacy_x1000: u64,
-    /// The same mean density under the refined summaries, ×1000.
-    pub conflict_density_refined_x1000: u64,
+    /// Transitions whose legacy summary is ⊤-free and whose refined summary
+    /// equals it: the refined analysis loses nothing the legacy one knew.
+    pub identical: usize,
+    /// Transitions whose legacy summary is ⊤ and whose refined summary is
+    /// not: the refined analysis only ever replaces ⊤.
+    pub de_topped: usize,
+    /// Transitions that are neither (`Contract.Transition: why`); the
+    /// frontier holds when this is empty.
+    pub exceptions: Vec<String>,
 }
 
 /// Analyses the whole mainnet sample under both modes and measures the
@@ -1357,19 +1325,19 @@ pub struct PrecisionCensus {
 pub fn precision_census() -> PrecisionCensus {
     use cosplit_analysis::analysis::AnalysisMode;
     use cosplit_analysis::blame::BlameCause;
-    use cosplit_analysis::conflict::ConflictMatrix;
 
     telemetry::set_enabled(true);
     let mut census = PrecisionCensus {
         contracts: 0,
+        transitions: 0,
         top_legacy: 0,
         top_refined: 0,
         top_field_refined: 0,
         blames: 0,
-        conflict_density_legacy_x1000: 0,
-        conflict_density_refined_x1000: 0,
+        identical: 0,
+        de_topped: 0,
+        exceptions: Vec::new(),
     };
-    let (mut density_legacy, mut density_refined) = (0.0f64, 0.0f64);
     for entry in corpus::mainnet_sample() {
         census.contracts += 1;
         let checked = check_contract(entry.name);
@@ -1385,22 +1353,34 @@ pub fn precision_census() -> PrecisionCensus {
                 .unwrap_or_else(|e| panic!("{}: blame wire round-trip failed: {e}", entry.name));
             assert_eq!(&back, b, "{}: blame wire round-trip drifted", entry.name);
         }
-        density_legacy += ConflictMatrix::build(entry.name, &legacy.summaries).conflict_density();
-        density_refined += ConflictMatrix::build(entry.name, &refined.summaries).conflict_density();
+        // Both modes summarise the module's transitions in declaration order.
+        assert_eq!(legacy.summaries.len(), refined.summaries.len(), "{}", entry.name);
+        for (l, r) in legacy.summaries.iter().zip(&refined.summaries) {
+            census.transitions += 1;
+            let why = match (l.has_top(), r.has_top()) {
+                (false, _) if l == r => {
+                    census.identical += 1;
+                    continue;
+                }
+                (true, false) => {
+                    census.de_topped += 1;
+                    continue;
+                }
+                (false, _) => "refined summary differs from the ⊤-free legacy one",
+                (true, true) => "refined summary is still ⊤",
+            };
+            census.exceptions.push(format!("{}.{}: {why}", entry.name, l.name));
+        }
     }
-    let mean = |sum: f64| (sum / census.contracts.max(1) as f64 * 1000.0) as u64;
-    census.conflict_density_legacy_x1000 = mean(density_legacy);
-    census.conflict_density_refined_x1000 = mean(density_refined);
 
     let reg = telemetry::registry();
     reg.gauge("cosplit.precision.top_summaries.legacy").set(census.top_legacy as i64);
     reg.gauge("cosplit.precision.top_summaries.refined").set(census.top_refined as i64);
     reg.gauge("cosplit.precision.top_fields.refined").set(census.top_field_refined as i64);
     reg.gauge("cosplit.precision.blames").set(census.blames as i64);
-    reg.gauge("cosplit.precision.conflict_density_x1000.legacy")
-        .set(census.conflict_density_legacy_x1000 as i64);
-    reg.gauge("cosplit.precision.conflict_density_x1000.refined")
-        .set(census.conflict_density_refined_x1000 as i64);
+    reg.gauge("cosplit.precision.census.identical").set(census.identical as i64);
+    reg.gauge("cosplit.precision.census.de_topped").set(census.de_topped as i64);
+    reg.gauge("cosplit.precision.census.exceptions").set(census.exceptions.len() as i64);
     census
 }
 
@@ -1665,12 +1645,9 @@ mod tests {
         assert_eq!(census.top_refined, 0, "{census:?}");
         assert!(census.top_field_refined < census.top_legacy, "{census:?}");
         assert!(census.blames >= census.top_field_refined, "{census:?}");
-        // ⊤ summaries conflict with everything, so localizing them can only
-        // thin the conflict matrix.
-        assert!(
-            census.conflict_density_refined_x1000 <= census.conflict_density_legacy_x1000,
-            "{census:?}"
-        );
+        // Per transition, the refined analysis either reproduces a ⊤-free
+        // legacy summary exactly or replaces a legacy ⊤.
+        assert!(census.exceptions.is_empty(), "{:#?}", census.exceptions);
 
         let rows = precision_rows(20, 200, 2);
         let airdrop = rows.iter().find(|r| r.label == "FT airdrop").unwrap();

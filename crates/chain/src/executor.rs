@@ -14,7 +14,6 @@ use crate::network::ChainConfig;
 use cosplit_analysis::callgraph::Recipient;
 use crate::tx::{Transaction, TxKind};
 use cosplit_analysis::audit::{audit_placement, audit_transition, AuditViolation, ViolationKind};
-use cosplit_analysis::conflict::concrete_pair_conflicts;
 use cosplit_analysis::signature::Join;
 use scilla::builtins::uint_max;
 use scilla::error::ExecError;
@@ -325,14 +324,13 @@ struct CallerFrame<'a> {
     sender: Address,
 }
 
-/// One audited transition invocation, retained for the pairwise conflict
-/// cross-check (populated only when `ChainConfig::audit` is set).
+/// One audited transition invocation, retained for the composed-chain
+/// cross-check (populated only when `ChainConfig::audit` and
+/// `ChainConfig::compose_calls` are both set).
 struct TracedCall {
     tx_id: u64,
     contract: Address,
     sender: Address,
-    origin: Address,
-    amount: u128,
     args: Vec<(String, Value)>,
     footprint: DynamicFootprint,
 }
@@ -597,15 +595,15 @@ impl<'a> Executor<'a> {
         };
         if let Some(fp) = footprint {
             self.audit_invocation(deployed, &fp, args, &ctx);
-            self.traced.push(TracedCall {
-                tx_id: self.current_tx,
-                contract,
-                sender,
-                origin,
-                amount,
-                args: args.to_vec(),
-                footprint: fp,
-            });
+            if self.cfg.chain.compose_calls {
+                self.traced.push(TracedCall {
+                    tx_id: self.current_tx,
+                    contract,
+                    sender,
+                    args: args.to_vec(),
+                    footprint: fp,
+                });
+            }
         }
 
         if outcome.accepted && amount > 0 {
@@ -820,61 +818,6 @@ impl<'a> Executor<'a> {
             .map(|s| &s.joins)
     }
 
-    /// Conflict-matrix cross-check (audit mode): every pair of traced invocations
-    /// whose *concrete* footprints interfere must also be flagged by the
-    /// static conflict matrix under the pair's concrete bindings, so every
-    /// `Commute` verdict that `cosplit matrix` publishes is checked against
-    /// real executions. Invocations of the same transaction are exempt (a
-    /// chained call interfering with its own caller is sequenced by the
-    /// interpreter, not by a commutativity claim).
-    fn conflict_cross_check(&mut self) {
-        if self.traced.len() < 2 {
-            return;
-        }
-        let mut found = Vec::new();
-        for i in 0..self.traced.len() {
-            for j in i + 1..self.traced.len() {
-                let (a, b) = (&self.traced[i], &self.traced[j]);
-                if a.contract != b.contract || a.tx_id == b.tx_id {
-                    continue;
-                }
-                let Some(clash) = concrete_pair_conflicts(&a.footprint, &b.footprint) else {
-                    continue;
-                };
-                let Some(deployed) = self.snapshot.contracts.get(&a.contract) else {
-                    continue;
-                };
-                let matrix = deployed.conflict_matrix();
-                let bind_a = trace_binding(a, deployed);
-                let bind_b = trace_binding(b, deployed);
-                if matrix.conflicts_concrete(
-                    &a.footprint.transition,
-                    &bind_a,
-                    &b.footprint.transition,
-                    &bind_b,
-                ) {
-                    continue;
-                }
-                found.push(AuditViolation {
-                    kind: ViolationKind::ConflictMissed,
-                    transition: a.footprint.transition.clone(),
-                    pseudofield: None,
-                    concrete: format!(
-                        "pair with '{}' (tx {} vs tx {}): {clash}",
-                        b.footprint.transition, a.tx_id, b.tx_id
-                    ),
-                    abstract_op: None,
-                    observed_op: None,
-                    span: Span::default(),
-                });
-            }
-        }
-        if telemetry::enabled() && !found.is_empty() {
-            telemetry::counter!(telemetry::names::AUDIT_VIOLATION).add(found.len() as u64);
-        }
-        self.violations.extend(found);
-    }
-
     /// Composed-chain containment cross-check (audit + compose mode): for
     /// every traced transaction whose invocations span several contracts,
     /// re-run the interprocedural composition from the root frame and
@@ -937,7 +880,6 @@ impl<'a> Executor<'a> {
     }
 
     fn finish(mut self) -> MicroBlock {
-        self.conflict_cross_check();
         self.composed_cross_check();
         let mut delta = StateDelta::new();
         for (addr, storage) in &self.storages {
@@ -1102,26 +1044,6 @@ impl StateStore for JournaledStore<'_, '_> {
     fn map_delete_sym(&mut self, field: Sym, keys: &[Value]) {
         self.record(field, keys);
         self.inner.map_delete_sym(field, keys);
-    }
-}
-
-/// The binding of one traced invocation (sender and origin may differ for
-/// chained calls on the DS committee).
-fn trace_binding<'t>(
-    call: &'t TracedCall,
-    deployed: &'t DeployedContract,
-) -> impl Fn(&str) -> Option<Value> + 't {
-    move |name: &str| match name {
-        "_sender" => Some(Value::address(call.sender.0)),
-        "_origin" => Some(Value::address(call.origin.0)),
-        "_amount" => Some(Value::Uint(128, call.amount)),
-        "_this_address" => Some(Value::address(call.contract.0)),
-        _ => call
-            .args
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-            .or_else(|| deployed.param(name).cloned()),
     }
 }
 

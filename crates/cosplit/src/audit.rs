@@ -66,11 +66,6 @@ pub enum ViolationKind {
     NotOwnedWrite,
     /// A transition with the unsatisfiable constraint executed on a shard.
     UnsatOnShard,
-    /// A pair of invocations whose concrete footprints interfere, yet the
-    /// static conflict matrix judged them commuting under the pair's
-    /// bindings — a `Commute` verdict that `cosplit matrix` publishes is
-    /// wrong for a real execution.
-    ConflictMissed,
     /// A traced multi-contract invocation chain reached a (contract,
     /// transition) frame outside its composed interprocedural summary
     /// ([`crate::callgraph`]) — the static callee set under-approximated a
@@ -90,7 +85,6 @@ impl ViolationKind {
             ViolationKind::NotOwnedRead => "NotOwnedRead",
             ViolationKind::NotOwnedWrite => "NotOwnedWrite",
             ViolationKind::UnsatOnShard => "UnsatOnShard",
-            ViolationKind::ConflictMissed => "ConflictMissed",
             ViolationKind::ComposedEscape => "ComposedEscape",
         }
     }
@@ -105,14 +99,13 @@ impl ViolationKind {
             "NotOwnedRead" => ViolationKind::NotOwnedRead,
             "NotOwnedWrite" => ViolationKind::NotOwnedWrite,
             "UnsatOnShard" => ViolationKind::UnsatOnShard,
-            "ConflictMissed" => ViolationKind::ConflictMissed,
             "ComposedEscape" => ViolationKind::ComposedEscape,
             _ => return None,
         })
     }
 
     /// All variants, for exhaustive wire tests.
-    pub fn all() -> [ViolationKind; 10] {
+    pub fn all() -> [ViolationKind; 9] {
         [
             ViolationKind::UnsummarisedRead,
             ViolationKind::UnsummarisedWrite,
@@ -122,7 +115,6 @@ impl ViolationKind {
             ViolationKind::NotOwnedRead,
             ViolationKind::NotOwnedWrite,
             ViolationKind::UnsatOnShard,
-            ViolationKind::ConflictMissed,
             ViolationKind::ComposedEscape,
         ]
     }
@@ -381,11 +373,13 @@ pub fn audit_transition(
         let covered = summary.reads().any(|pf| pf_covers(pf, &r.field, &r.keys, resolve))
             // A static write to the same component also witnesses awareness of
             // it, but reads must still be declared: the derivation's weak-read
-            // logic keys off Read effects. Only whole-field *writes* (which
-            // force ownership of the whole field) excuse an undeclared read.
-            || summary
-                .writes()
-                .any(|(pf, _)| pf.is_whole_field() && pf.field == r.field)
+            // logic keys off Read effects. Only a whole-field overwrite, which
+            // forces ownership of the whole field, excuses an undeclared read.
+            // A commutative write merges as `IntMerge` and takes no ownership,
+            // so it excuses nothing.
+            || summary.writes().any(|(pf, t)| {
+                pf.is_whole_field() && pf.field == r.field && !is_commutative_write(pf, t)
+            })
             // A field-localized ⊤ subsumes every access to its field.
             || summary.top_fields().any(|pf| pf_covers(pf, &r.field, &r.keys, resolve))
             // A read that only observes this invocation's own earlier write

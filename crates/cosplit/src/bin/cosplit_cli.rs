@@ -29,12 +29,6 @@
 //! JSON array of the causes' wire forms instead (same schema the lint pass
 //! and the corpus sweep consume).
 //!
-//! `cosplit matrix` builds the pairwise transition-commutativity matrix
-//! (conflict matrix) from the Fig-6 footprints and prints it as a grid —
-//! `.` commute, `?` commute unless keys alias, `X` conflict — followed by
-//! the conditional pairs' key clashes. With `--json` it prints the
-//! matrix's JSON wire form instead.
-//!
 //! `cosplit trace` runs the same offline pipeline (parse → typecheck →
 //! analyse → query) with structured tracing on and writes the span tree as
 //! Chrome `trace_event` JSON — load it in `chrome://tracing` or
@@ -47,7 +41,6 @@
 //! the telemetry snapshot of the run as JSON on exit.
 
 use cosplit_analysis::audit::lint_contract;
-use cosplit_analysis::conflict::{ConflictMatrix, Verdict};
 use cosplit_analysis::ge::ge_stats;
 use cosplit_analysis::repair::repair_contract;
 use cosplit_analysis::signature::WeakReads;
@@ -65,7 +58,6 @@ struct Args {
     ge: bool,
     lint: bool,
     blame: bool,
-    matrix: bool,
     callgraph: bool,
     dot: bool,
     trace: bool,
@@ -80,7 +72,6 @@ fn usage() -> ! {
          \x20             [--summaries] [--json] [--repair] [--ge]\n\
          \x20      cosplit lint <file.scilla | corpus:Name>   (alias: audit)\n\
          \x20      cosplit blame <file.scilla | corpus:Name> [--json]\n\
-         \x20      cosplit matrix <file.scilla | corpus:Name> [--json]\n\
          \x20      cosplit callgraph <src>[,<src>,...] | corpus [--json | --dot]\n\
          \x20      cosplit trace <file.scilla | corpus:Name> [--out <path>]\n\
          \n\
@@ -92,7 +83,6 @@ fn usage() -> ! {
          \x20 --repair        attempt the §6 compare-and-swap repair first\n\
          \x20 --ge            print good-enough signature statistics (Fig. 13)\n\
          \x20 --lint          run the contract lint pass (same as `lint` mode)\n\
-         \x20 --matrix        print the conflict matrix (same as `matrix` mode)\n\
          \x20 --dot           print the call graph as Graphviz DOT (callgraph mode)\n\
          \x20 --out           Chrome trace output path for `trace` mode\n\
          \x20                 (default TRACE_cosplit.json)\n\
@@ -113,7 +103,6 @@ fn parse_args() -> Args {
         ge: false,
         lint: false,
         blame: false,
-        matrix: false,
         callgraph: false,
         dot: false,
         trace: false,
@@ -141,9 +130,8 @@ fn parse_args() -> Args {
             "--repair" => args.repair = true,
             "--ge" => args.ge = true,
             "--lint" => args.lint = true,
-            "--matrix" => args.matrix = true,
             "--help" | "-h" => usage(),
-            // A leading `lint`/`audit`/`matrix` word selects the mode; the
+            // A leading mode word (`lint`, `blame`, …) selects the mode; the
             // next positional argument is then the contract source.
             "lint" | "audit" if first_positional => {
                 args.lint = true;
@@ -151,10 +139,6 @@ fn parse_args() -> Args {
             }
             "blame" if first_positional => {
                 args.blame = true;
-                first_positional = false;
-            }
-            "matrix" if first_positional => {
-                args.matrix = true;
                 first_positional = false;
             }
             "callgraph" if first_positional => {
@@ -441,41 +425,6 @@ fn run(args: Args) -> ExitCode {
         for (kind, n) in &by_kind {
             println!("  {kind}: {n}");
         }
-        return ExitCode::SUCCESS;
-    }
-
-    if args.matrix {
-        let matrix = ConflictMatrix::build(&analyzed.name, &analyzed.summaries);
-        if args.json {
-            println!(
-                "{}",
-                cosplit_analysis::conflict::wire::matrix_to_value(&matrix)
-            );
-            return ExitCode::SUCCESS;
-        }
-        print!("{}", matrix.render());
-        let mut conditional = Vec::new();
-        for i in 0..matrix.len() {
-            for j in i..matrix.len() {
-                if let Verdict::CommuteUnless(clashes) = matrix.verdict_at(i, j) {
-                    conditional.push((i, j, clashes));
-                }
-            }
-        }
-        if !conditional.is_empty() {
-            println!("conditional pairs:");
-            for (i, j, clashes) in conditional {
-                println!("  {} / {}:", matrix.transitions[i], matrix.transitions[j]);
-                for c in clashes {
-                    println!("    unless {c}");
-                }
-            }
-        }
-        println!(
-            "density: {:.0}% conflict, {:.0}% conditional",
-            matrix.conflict_density() * 100.0,
-            matrix.conditional_density() * 100.0
-        );
         return ExitCode::SUCCESS;
     }
 

@@ -195,9 +195,11 @@ fn key_resolution_separates_components() {
 
 #[test]
 fn whole_field_coverage() {
-    // A whole-field read covers any entry; a whole-field write additionally
-    // excuses undeclared reads of that field (ownership of the whole field
-    // is already forced). A same-field *entry* write does not.
+    // A whole-field read covers any entry; a whole-field overwrite
+    // additionally excuses undeclared reads of that field (ownership of the
+    // whole field is already forced). A same-field *entry* write does not,
+    // and neither does a commutative whole-field write, whose `IntMerge`
+    // join takes no ownership.
     let whole = PseudoField::whole("allowances");
     let s = summary(vec![Effect::Read(whole.clone())]);
     let mut t = footprint();
@@ -215,6 +217,23 @@ fn whole_field_coverage() {
     t.record_read("allowances", vec![addr(1)], span(3));
     let vs = audit_transition(&t.finish(), &s, &resolve_who);
     assert_eq!(vs.len(), 1);
+    assert_eq!(vs[0].kind, ViolationKind::UnsummarisedRead);
+
+    // `total := builtin add total amount`, with the counter's `Read` lost.
+    // The read precedes the write, so it observes pre-state.
+    let total = PseudoField::whole("total_supply");
+    let s = summary(vec![Effect::Write(total.clone(), commutative_add(&total))]);
+    let mut t = footprint();
+    t.record_read("total_supply", vec![], Span { start: 40, end: 52, line: 4, col: 3 });
+    t.record_write(
+        "total_supply",
+        vec![],
+        Some(Value::Uint(128, 100)),
+        Some(Value::Uint(128, 130)),
+        Span { start: 60, end: 80, line: 5, col: 3 },
+    );
+    let vs = audit_transition(&t.finish(), &s, &resolve_who);
+    assert_eq!(vs.len(), 1, "{vs:?}");
     assert_eq!(vs[0].kind, ViolationKind::UnsummarisedRead);
 }
 

@@ -167,6 +167,13 @@ fn violation_parse_rejects_malformed_input() {
     .is_err());
     // A missing span is an error, not a panic.
     assert!(AuditViolation::from_json(r#"{"kind":"UnsummarisedRead","transition":"T","concrete":"x"}"#).is_err());
+    // A retired kind name is an unknown kind, not a panic.
+    let err = AuditViolation::from_json(
+        r#"{"kind":"ConflictMissed","transition":"T","concrete":"x",
+            "span":{"start":0,"end":0,"line":0,"col":0}}"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("unknown violation kind"), "{err}");
 }
 
 #[test]

@@ -13,7 +13,7 @@
 
 use crate::span::Span;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// The concrete contribution op observed at a single write.
 ///
@@ -137,28 +137,6 @@ impl DynamicFootprint {
             && self.writes.is_empty()
             && self.accepts == 0
             && self.sends.is_empty()
-    }
-
-    /// Did the execution move native funds — accept them, or send a message
-    /// carrying a non-zero amount? Zero-amount notification messages do not
-    /// count.
-    pub fn moves_native_funds(&self) -> bool {
-        self.accepts > 0 || self.sends.iter().any(|s| s.amount > 0)
-    }
-
-    /// The concrete state components read, deduplicated.
-    pub fn read_components(&self) -> BTreeSet<(&str, &[Value])> {
-        self.reads.iter().map(|r| (r.field.as_str(), r.keys.as_slice())).collect()
-    }
-
-    /// The concrete state components written, with every observed op per
-    /// component in execution order.
-    pub fn write_components(&self) -> BTreeMap<(&str, &[Value]), Vec<&ObservedOp>> {
-        let mut m: BTreeMap<(&str, &[Value]), Vec<&ObservedOp>> = BTreeMap::new();
-        for w in &self.writes {
-            m.entry((w.field.as_str(), w.keys.as_slice())).or_default().push(&w.op);
-        }
-        m
     }
 }
 

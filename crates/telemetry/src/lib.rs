@@ -15,7 +15,7 @@
 //! Metric names follow `crate.component.name`, e.g.
 //! `chain.dispatch.reason.payment` or `scilla.interpreter.gas_charged`.
 //! Snapshots ([`MetricsRegistry::snapshot`]) are plain data: diff two of
-//! them for per-epoch deltas, export as JSON or Prometheus text.
+//! them for per-epoch deltas, export and re-parse them as JSON.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -682,33 +682,6 @@ impl Snapshot {
     pub fn from_json(s: &str) -> Result<Snapshot, String> {
         json::parse_snapshot(s)
     }
-
-    /// Prometheus text exposition: `.` becomes `_`, histograms expand into
-    /// cumulative `_bucket{le="…"}` series plus `_sum`/`_count`.
-    pub fn to_prometheus(&self) -> String {
-        let sanitize = |name: &str| name.replace(['.', '-'], "_");
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cumulative = 0u64;
-            for (bound, count) in h.bounds.iter().zip(&h.counts) {
-                cumulative += count;
-                out.push_str(&format!("{n}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
 }
 
 /// Minimal JSON read/write for [`Snapshot`] — kept in-crate so telemetry
@@ -1099,22 +1072,6 @@ mod tests {
         // And a diff computed from parsed snapshots matches the direct one.
         let parsed_before = Snapshot::from_json(&before.to_json()).unwrap();
         assert_eq!(parsed.diff(&parsed_before), delta);
-    }
-
-    #[test]
-    fn prometheus_export_is_cumulative() {
-        let mut s = Snapshot::default();
-        s.counters.insert("x.y".into(), 4);
-        s.histograms.insert(
-            "d.e".into(),
-            HistogramSnapshot { bounds: vec![10, 100], counts: vec![1, 2, 3], sum: 700, count: 6 },
-        );
-        let text = s.to_prometheus();
-        assert!(text.contains("# TYPE x_y counter\nx_y 4\n"));
-        assert!(text.contains("d_e_bucket{le=\"10\"} 1\n"));
-        assert!(text.contains("d_e_bucket{le=\"100\"} 3\n"));
-        assert!(text.contains("d_e_bucket{le=\"+Inf\"} 6\n"));
-        assert!(text.contains("d_e_sum 700\nd_e_count 6\n"));
     }
 
     #[test]

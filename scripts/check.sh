@@ -27,9 +27,6 @@ cargo run --release -q -p cosplit-bench --bin sim_smoke
 echo "== audit smoke (effect-trace sanitizer + corpus lint sweep) =="
 cargo run --release -q -p cosplit-bench --bin audit_smoke
 
-echo "== matrix smoke (corpus-wide conflict-matrix derivation + pair verdicts) =="
-cargo run --release -q -p cosplit-bench --bin matrix_smoke
-
 echo "== state smoke (CoW snapshot/fork cost flat as state grows, per-tx cost flat in batch length) =="
 cargo run --release -q -p cosplit-bench --bin state_smoke
 
@@ -42,7 +39,7 @@ cargo run --release -q -p cosplit-bench --bin xshard_smoke
 echo "== callgraph smoke (corpus call graph + composed-dispatch differential) =="
 cargo run --release -q -p cosplit-bench --bin callgraph_smoke
 
-echo "== precision smoke (no global ⊤, blame sweep, refined dispatch gate) =="
+echo "== precision smoke (no global ⊤, per-transition legacy/refined census, blame sweep, refined dispatch gate) =="
 cargo run --release -q -p cosplit-bench --bin precision_smoke
 
 echo "== hotpath smoke (compiled dispatch wins, 0 hot clones over a committing serial batch) =="
